@@ -24,7 +24,9 @@ __all__ = [
     "character_from_label",
     "conductor",
     "gauss_sum",
+    "gauss_sums",
     "twist_identity_check",
+    "twist_discrepancies",
     "delta_q_check",
     "roots_of_unity",
 ]
@@ -256,10 +258,7 @@ class _CharacterFamily:
         return prod.astype(np.int32)
 
     def conductor_of(self, exps: np.ndarray) -> int:
-        for d, idx in self._divisor_masks:
-            if not np.any(exps[idx]):
-                return d
-        return self.q  # unreachable: d == q always passes
+        return int(self.conductors_of(exps[:, None])[0])
 
     def conductors_of(self, table: np.ndarray) -> np.ndarray:
         n_chars = table.shape[1]
@@ -460,13 +459,45 @@ class GaussSum:
     magnitude: float
 
 
+def gauss_sums(chars) -> np.ndarray:
+    """tau(chi) = sum_a chi(a) e(a/q) for characters sharing one modulus q.
+
+    Direct summation over the units, batched as one matrix-vector product;
+    every Gauss sum in the package is computed here.
+    """
+    if not chars:  # e.g. the primitive characters of q = 2 mod 4
+        return np.zeros(0, dtype=np.complex128)
+    q = chars[0].modulus
+    phases = roots_of_unity(q)[chars[0].unit_residues % q]
+    vals = roots_of_unity(chars[0].root_order)[
+        np.stack([chi.unit_exponents for chi in chars])
+    ]
+    return vals @ phases
+
+
 def gauss_sum(chi: DirichletCharacter) -> GaussSum:
     """tau(chi) = sum_a chi(a) e(a/q) by direct summation over the units."""
-    q = chi.modulus
-    vals = roots_of_unity(chi.root_order)[chi.unit_exponents]
-    phases = roots_of_unity(q)[chi.unit_residues % q]
-    tau = complex(np.dot(vals, phases))
+    tau = complex(gauss_sums([chi])[0])
     return GaussSum(value=tau, magnitude=abs(tau))
+
+
+def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray:
+    """|conj(chi(m)) tau - S(m)| for every integer m in ms.
+
+    S(m) = sum_a chi(a) cos(2 pi a m / q) for even chi and i times the sine
+    sum for odd chi, summed directly so it stays independent of tau. The
+    identity holds for primitive chi.
+    """
+    q = chi.modulus
+    ms = np.asarray(ms, dtype=np.int64) % q
+    vals = roots_of_unity(chi.root_order)[chi.unit_exponents]
+    lhs = np.conj(chi.values()[ms]) * tau
+    phases = roots_of_unity(q)[(chi.unit_residues[:, None] * ms[None, :]) % q]
+    if chi.parity == "even":
+        rhs = vals @ phases.real
+    else:
+        rhs = 1j * (vals @ phases.imag)
+    return np.abs(lhs - rhs)
 
 
 def twist_identity_check(chi: DirichletCharacter, m: int) -> float:
@@ -478,15 +509,7 @@ def twist_identity_check(chi: DirichletCharacter, m: int) -> float:
     """
     if not chi.is_primitive:
         raise ValueError("twist identity only holds for primitive characters")
-    q = chi.modulus
-    vals = roots_of_unity(chi.root_order)[chi.unit_exponents]
-    phases = roots_of_unity(q)[(chi.unit_residues * (m % q)) % q]
-    lhs = np.conj(chi.value(m)) * gauss_sum(chi).value
-    if chi.parity == "even":
-        rhs = np.dot(vals, phases.real)
-    else:
-        rhs = 1j * np.dot(vals, phases.imag)
-    return float(abs(lhs - rhs))
+    return float(twist_discrepancies(chi, [m], gauss_sum(chi).value)[0])
 
 
 def delta_q_check(q: int, a: int) -> int:

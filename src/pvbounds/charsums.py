@@ -2,8 +2,8 @@
 
 S = max over intervals |sum chi(n)| equals the diameter of the planar set
 of prefix sums, because every interval sum is a difference of two prefix
-points. The diameter is computed by monotone-chain convex hull plus
-rotating calipers, with an O(q^2) pairwise scan kept as the oracle.
+points. The diameter is the largest distance between two vertices of the
+monotone-chain convex hull, with an O(q^2) pairwise scan kept as the oracle.
 """
 
 from __future__ import annotations
@@ -116,24 +116,6 @@ def _hulls(points):
     return upper, lower
 
 
-def _rotating_calipers(upper, lower):
-    """Antipodal pairs of the hull, walking both chains once."""
-    i = 0
-    j = len(lower) - 1
-    while i < len(upper) - 1 or j > 0:
-        yield upper[i], lower[j]
-        if i == len(upper) - 1:
-            j -= 1
-        elif j == 0:
-            i += 1
-        elif (upper[i + 1][1] - upper[i][1]) * (lower[j][0] - lower[j - 1][0]) > (
-            lower[j][1] - lower[j - 1][1]
-        ) * (upper[i + 1][0] - upper[i][0]):
-            i += 1
-        else:
-            j -= 1
-
-
 _N_PRUNE_DIRS = 16
 _PRUNE_ANGLES = np.pi * np.arange(_N_PRUNE_DIRS) / (_N_PRUNE_DIRS / 2.0)
 _PRUNE_MATRIX = np.stack([np.cos(_PRUNE_ANGLES), np.sin(_PRUNE_ANGLES)])
@@ -230,23 +212,15 @@ def max_interval_sum(walk: PrefixWalk) -> tuple[float, tuple[int, int]]:
         return 0.0, (1, 1)
     hull_pts = list(zip(uniq.real.tolist(), uniq.imag.tolist()))
     upper, lower = _hulls(hull_pts)
-    best_sq = 0.0
-    for p, r in _rotating_calipers(upper, lower):
-        ex = p[0] - r[0]
-        ey = p[1] - r[1]
-        d = ex * ex + ey * ey
-        if d > best_sq:
-            best_sq = d
-    # collect every hull pair achieving the diameter (calipers can skip
-    # parallel-edge ties); the witness tie-break needs all of them
+    # all vertex pairs, so every pair achieving the diameter reaches the
+    # witness tie-break
     verts = np.unique(
         np.array([complex(*p) for p in upper + lower], dtype=np.complex128)
     )
     dx = verts.real[:, None] - verts.real[None, :]
     dy = verts.imag[:, None] - verts.imag[None, :]
     d2 = dx * dx + dy * dy
-    best_sq = max(best_sq, float(d2.max()))
-    ii, jj = np.nonzero(d2 == best_sq)
+    ii, jj = np.nonzero(d2 == d2.max())
     pairs = [(verts[i], verts[j]) for i, j in zip(ii, jj) if i < j]
     a, b = _lex_min_witness(pts, pairs)
     s = float(abs(pts[b] - pts[a]))

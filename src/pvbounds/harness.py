@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -21,7 +22,12 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import bounds, kernel, lemmas
-from .characters import enumerate_characters, unit_group
+from .characters import (
+    enumerate_characters,
+    gauss_sums,
+    twist_discrepancies,
+    unit_group,
+)
 from .charsums import char_sum_result
 
 __all__ = [
@@ -44,11 +50,33 @@ DEFAULT_BOUNDS = ("theorem1", "pomerance")
 
 
 def resolve_workers(requested: int) -> int:
-    """Worker count, with the PV_WORKERS environment variable overriding."""
+    """Worker count clamped to [1, os.cpu_count()].
+
+    The PV_WORKERS environment variable, when set, overrides requested and
+    must be an integer.
+    """
     env = os.environ.get("PV_WORKERS")
     if env is not None:
-        return max(1, int(env))
-    return max(1, requested)
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ValueError(
+                f"PV_WORKERS must be an integer, got {env!r}"
+            ) from None
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _ordered_map(fn, args, workers: int):
+    """fn over args, with the results in input order.
+
+    Runs in-process at workers=1; otherwise a fork pool hands out one item
+    at a time, so uneven per-item costs balance across the workers.
+    """
+    if workers == 1:
+        yield from map(fn, args)
+    else:
+        with get_context("fork").Pool(workers) as pool:
+            yield from pool.imap(fn, args)
 
 
 @dataclass(frozen=True)
@@ -241,18 +269,6 @@ class SweepReport:
         }
 
 
-def _iter_row_batches(cfg: SweepConfig, workers: int):
-    qs = range(cfg.q_min, cfg.q_max + 1)
-    args = ((q, cfg.parities, cfg.bounds) for q in qs)
-    if workers == 1:
-        for a in args:
-            yield _sweep_worker(a)
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            yield from pool.imap(_sweep_worker, args, chunksize=4)
-
-
 def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport:
     """Sweep every primitive character with q in [q_min, q_max].
 
@@ -275,8 +291,13 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
     csv_writer = None
     json_rows = None
     if cfg.output_path:
-        tmp_path = cfg.output_path + ".tmp"
-        sink = open(tmp_path, "w", newline="")
+        fd, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(cfg.output_path)), suffix=".tmp"
+        )
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
+        sink = os.fdopen(fd, "w", newline="")
         if cfg.output_format == "csv":
             csv_writer = csv.writer(sink, lineterminator="\n")
             csv_writer.writerow(_csv_header(cfg.bounds))
@@ -284,7 +305,8 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
             json_rows = []
 
     try:
-        for batch in _iter_row_batches(cfg, workers):
+        args = ((q, cfg.parities, cfg.bounds) for q in range(cfg.q_min, cfg.q_max + 1))
+        for batch in _ordered_map(_sweep_worker, args, workers):
             for row in batch:
                 n_rows += 1
                 if row.ratio > max_ratio[0]:
@@ -357,63 +379,39 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
 
 
 def _gauss_worker(q: int) -> tuple[int, float]:
-    from .characters import roots_of_unity
-
     chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
     if not chars:
         return 0, 0.0
-    units = chars[0].unit_residues
-    phases = roots_of_unity(q)[units % q]
-    vals = roots_of_unity(chars[0].root_order)[
-        np.stack([chi.unit_exponents for chi in chars])
-    ]
-    taus = vals @ phases
+    taus = gauss_sums(chars)
     worst = float(np.abs(np.abs(taus) - math.sqrt(q)).max()) / math.sqrt(q)
     return len(chars), worst
 
 
 def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
-    """Worst relative deviation of |tau(chi)| from sqrt(q), all primitive chi.
-
-    tau is computed by the same direct summation as gauss_sum, batched as
-    one matrix-vector product per modulus.
-    """
-    workers = resolve_workers(workers)
-    qs = range(q_min, q_max + 1)
-    if workers == 1:
-        results = [_gauss_worker(q) for q in qs]
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_gauss_worker, qs, chunksize=8)
+    """Worst relative deviation of |tau(chi)| from sqrt(q), all primitive chi."""
+    results = list(
+        _ordered_map(_gauss_worker, range(q_min, q_max + 1), resolve_workers(workers))
+    )
     return sum(c for c, _ in results), max((w for _, w in results), default=0.0)
 
 
 def _twist_worker(args) -> tuple[int, float]:
-    from .characters import roots_of_unity
-
     q, m_per_char, seed = args
+    prim = [
+        (idx, chi)
+        for idx, chi in enumerate(enumerate_characters(q))
+        if chi.is_primitive
+    ]
+    if not prim:
+        return 0, 0.0
+    taus = gauss_sums([chi for _, chi in prim])
     worst = 0.0
-    checks = 0
-    roots_q = roots_of_unity(q)
-    for idx, chi in enumerate(enumerate_characters(q)):
-        if not chi.is_primitive:
-            continue
+    for (idx, chi), tau in zip(prim, taus):
         rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
         ms = rng.integers(0, 10 * q, size=m_per_char)
-        units = chi.unit_residues
-        vals_units = roots_of_unity(chi.root_order)[chi.unit_exponents]
-        tau = complex(np.dot(vals_units, roots_q[units % q]))
-        vals_full = chi.values()
-        lhs = np.conj(vals_full[ms % q]) * tau
-        phases = roots_q[(units[:, None] * (ms[None, :] % q)) % q]
-        if chi.parity == "even":
-            rhs = vals_units @ phases.real
-        else:
-            rhs = 1j * (vals_units @ phases.imag)
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / math.sqrt(q))
-        checks += m_per_char
-    return checks, worst
+        errs = twist_discrepancies(chi, ms, tau)
+        worst = max(worst, float(errs.max()) / math.sqrt(q))
+    return m_per_char * len(prim), worst
 
 
 def twist_check_range(
@@ -421,14 +419,8 @@ def twist_check_range(
     workers: int = 1,
 ):
     """Worst sqrt(q)-relative twisted-sum discrepancy over random twists."""
-    workers = resolve_workers(workers)
     args = [(q, m_per_char, seed) for q in range(q_min, q_max + 1)]
-    if workers == 1:
-        results = [_twist_worker(a) for a in args]
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_twist_worker, args, chunksize=8)
+    results = list(_ordered_map(_twist_worker, args, resolve_workers(workers)))
     return sum(c for c, _ in results), max((w for _, w in results), default=0.0)
 
 

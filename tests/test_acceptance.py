@@ -194,7 +194,7 @@ def test_criterion_12_oracle_equivalence():
         done += 1
     assert worst_l < 1e-12
     print(
-        f"\n[PASS] criterion 12: calipers vs brute force {worst_s:.3e} over "
+        f"\n[PASS] criterion 12: hull diameter vs brute force {worst_s:.3e} over "
         f"{n_chars} characters (q <= 200); dual kernel evaluators {worst_g:.3e} "
         f"grid-wide; indicator identity {worst_l:.3e} on 1000 random triples"
     )

@@ -14,7 +14,9 @@ from pvbounds.characters import (
     enumerate_characters,
     euler_phi,
     gauss_sum,
+    gauss_sums,
     roots_of_unity,
+    twist_discrepancies,
     twist_identity_check,
     unit_group,
 )
@@ -227,6 +229,15 @@ def test_gauss_modulus_primitive(q):
             assert abs(g.magnitude - math.sqrt(q)) < 1e-8 * math.sqrt(q)
 
 
+@pytest.mark.parametrize("q", range(3, Q_TEST + 1))
+def test_gauss_sums_batch_matches_gauss_sum(q):
+    chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
+    taus = gauss_sums(chars)
+    assert len(taus) == len(chars)
+    for chi, tau in zip(chars, taus):
+        assert abs(tau - gauss_sum(chi).value) < 1e-12 * math.sqrt(q)
+
+
 def test_twist_even_quadratic_mod5():
     chi = [c for c in enumerate_characters(5) if c.order == 2][0]
     assert chi.parity == "even"
@@ -257,6 +268,17 @@ def test_twist_random_m(q):
             continue
         for m in RNG.integers(-3 * q, 3 * q, size=50):
             assert twist_identity_check(chi, int(m)) < 1e-8 * math.sqrt(q)
+
+
+@pytest.mark.parametrize("q", range(3, Q_TEST + 1))
+def test_twist_discrepancies_match_scalar_check(q):
+    for chi in enumerate_characters(q):
+        if not chi.is_primitive:
+            continue
+        ms = np.random.default_rng(q).integers(-3 * q, 3 * q, size=20)
+        got = twist_discrepancies(chi, ms, gauss_sum(chi).value)
+        want = [twist_identity_check(chi, int(m)) for m in ms]
+        assert got == pytest.approx(want, rel=0, abs=1e-12 * math.sqrt(q))
 
 
 # ---------------------------------------------------------------------------

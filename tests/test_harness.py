@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 import sympy
@@ -39,10 +40,36 @@ def test_config_validation():
 
 
 def test_resolve_workers_env_override(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("PV_WORKERS", raising=False)
     assert resolve_workers(3) == 3
     monkeypatch.setenv("PV_WORKERS", "7")
     assert resolve_workers(3) == 7
+
+
+def test_resolve_workers_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setenv("PV_WORKERS", "abc")
+    with pytest.raises(ValueError, match="PV_WORKERS.*'abc'"):
+        resolve_workers(1)
+
+
+@pytest.mark.parametrize(
+    "env, requested, expected",
+    [("0", 3, 1), ("-5", 3, 1), ("100000", 1, 4), (None, 100000, 4), (None, 0, 1)],
+)
+def test_resolve_workers_clamped_to_cpu_count(monkeypatch, env, requested, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    if env is None:
+        monkeypatch.delenv("PV_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("PV_WORKERS", env)
+    assert resolve_workers(requested) == expected
+
+
+def test_resolve_workers_unknown_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("PV_WORKERS", "100000")
+    assert resolve_workers(1) == 1
 
 
 def test_sweep_rows_primitive_only_sorted():
@@ -124,6 +151,18 @@ def test_sweep_streams_atomically(tmp_path):
     assert text == report.csv_text()
 
 
+def test_sweep_temp_file_is_private_to_the_run(tmp_path):
+    other = tmp_path / "out.csv.tmp"  # another run's partial output
+    other.write_text("partial output of another run\n")
+    path = tmp_path / "out.csv"
+    run_sweep(SweepConfig(q_min=3, q_max=30, output_path=str(path)))
+    assert other.read_text() == "partial output of another run\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_sweep_summary_aggregates():
     report = run_sweep(SweepConfig(q_min=3, q_max=100))
     s = report.summary
@@ -172,6 +211,13 @@ def test_twist_check_range_small():
     count, worst = twist_check_range(3, 40, m_per_char=10)
     assert worst < 1e-8
     assert count > 0
+
+
+def test_identity_checks_independent_of_worker_count(monkeypatch):
+    monkeypatch.delenv("PV_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # let workers=2 fork
+    assert gauss_check_range(3, 60, workers=1) == gauss_check_range(3, 60, workers=2)
+    assert twist_check_range(3, 60, workers=1) == twist_check_range(3, 60, workers=2)
 
 
 def test_verify_all_small_passes():
