@@ -202,6 +202,7 @@ def test_criterion_12_oracle_equivalence():
 
 def test_criterion_13_worker_determinism(tmp_path, monkeypatch):
     monkeypatch.delenv("PV_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let workers=8 fork 8
     paths = []
     for workers in (1, 8):
         path = tmp_path / f"sweep_w{workers}.csv"

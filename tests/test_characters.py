@@ -234,8 +234,11 @@ def test_gauss_sums_batch_matches_gauss_sum(q):
     chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
     taus = gauss_sums(chars)
     assert len(taus) == len(chars)
+    e_q = np.exp(2j * np.pi * np.arange(q) / q)
     for chi, tau in zip(chars, taus):
         assert abs(tau - gauss_sum(chi).value) < 1e-12 * math.sqrt(q)
+        # definitional tau(chi) = sum_a chi(a) e(a/q), computed here
+        assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
 
 
 def test_twist_even_quadratic_mod5():

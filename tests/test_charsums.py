@@ -88,8 +88,6 @@ def test_constant_walk_zero():
 
 @pytest.mark.parametrize("q", range(2, 201))
 def test_calipers_equal_brute_force(q):
-    # The name predates the hull-vertex diameter that replaced the rotating
-    # calipers; the check is the same: max_interval_sum against brute force.
     for chi in enumerate_characters(q):
         s, wit = max_interval_sum(prefix_walk(chi))
         b = brute_force_s(chi)

@@ -107,7 +107,9 @@ def test_sweep_parity_filter():
     assert all(r.parity == "even" for r in report.rows)
 
 
-def test_sweep_determinism_across_workers():
+def test_sweep_determinism_across_workers(monkeypatch):
+    monkeypatch.delenv("PV_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # let workers=2 fork
     cfg1 = SweepConfig(q_min=3, q_max=120, workers=1)
     cfg2 = SweepConfig(q_min=3, q_max=120, workers=2)
     assert run_sweep(cfg1).csv_text() == run_sweep(cfg2).csv_text()
