@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "EULER_GAMMA",
     "BoundValue",
-    "ExplicitBound",
     "MarginRow",
     "c0",
     "theorem1_bound",
@@ -57,16 +56,6 @@ class BoundValue:
     psi_term: float
     as_printed: bool
     terms: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class ExplicitBound:
-    """Catalog entry: evaluator metadata for one published bound."""
-
-    name: str
-    parity_applicability: str  # "even" | "odd" | "both"
-    quantity: str  # "S" | "T"
-    as_printed: bool
 
 
 def _require_q(q: int, minimum: int = 3) -> None:
@@ -272,19 +261,13 @@ def _bachman_rachakonda_bound(q: int, parity: str) -> BoundValue:
     )
 
 
-_REGISTRY: dict[str, tuple[ExplicitBound, object]] = {
-    "theorem1": (ExplicitBound("theorem1", "both", "S", False), theorem1_bound),
-    "pomerance": (ExplicitBound("pomerance", "both", "S", False), pomerance_bound),
-    "qiu": (ExplicitBound("qiu", "both", "S", True), _qiu_bound),
-    "simalarides": (ExplicitBound("simalarides", "both", "T", True), _simalarides_bound),
-    "dobrowolski_williams": (
-        ExplicitBound("dobrowolski_williams", "both", "S", False),
-        _dobrowolski_williams_bound,
-    ),
-    "bachman_rachakonda": (
-        ExplicitBound("bachman_rachakonda", "both", "S", False),
-        _bachman_rachakonda_bound,
-    ),
+_REGISTRY = {
+    "theorem1": theorem1_bound,
+    "pomerance": pomerance_bound,
+    "qiu": _qiu_bound,
+    "simalarides": _simalarides_bound,
+    "dobrowolski_williams": _dobrowolski_williams_bound,
+    "bachman_rachakonda": _bachman_rachakonda_bound,
 }
 
 
@@ -295,8 +278,7 @@ def bound_names() -> tuple[str, ...]:
 def evaluate_bound(name: str, q: int, parity: str) -> BoundValue:
     if name not in _REGISTRY:
         raise KeyError(f"unknown bound {name!r}; known: {', '.join(_REGISTRY)}")
-    _, fn = _REGISTRY[name]
-    return fn(q, parity)
+    return _REGISTRY[name](q, parity)
 
 
 def catalog_bounds(q: int, parity: str) -> list[BoundValue]:

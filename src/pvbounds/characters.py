@@ -2,8 +2,11 @@
 
 A character is stored through an integer exponent table: chi(a) = e(t_a / N)
 with e(u) = exp(2*pi*i*u), where N is the exponent of the unit group mod q.
-Structural predicates (multiplicativity, parity, order, conductor) are then
-exact integer arithmetic; complex value tables are materialized on demand.
+Conductor and order are read from the generator-exponent label by local
+rules, parity from the exponent at -1; all three are exact integer
+arithmetic, and complex value tables are materialized on demand.
+conductor() is the definitional divisor-by-divisor test, kept as the oracle
+that the label rule is checked against.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -114,11 +116,14 @@ class UnitGroupStructure:
 
     generators[i] has multiplicative order orders[i] mod q, and every unit
     is a unique product of generator powers within those orders.
+    conductor_parts[i] = (base, ppow): a character whose i-th component has
+    order ord > 1 there has local conductor base * gcd(ord, ppow).
     """
 
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
+    conductor_parts: tuple[tuple[int, int], ...]
 
     @property
     def phi(self) -> int:
@@ -139,11 +144,17 @@ def unit_group(q: int) -> UnitGroupStructure:
     Odd prime powers (and 4) contribute one cyclic factor generated by the
     smallest generator; 2^k with k >= 3 contributes Z/2 x Z/2^(k-2),
     generated by -1 and 5. Generators are lifted to units mod q.
+
+    Local conductors: a character of order ord on (Z/p^k)^* has conductor
+    p^(1 + v_p(ord)) = p * gcd(ord, p^(k-1)) when ord > 1. On 2^k the
+    character of -1 (or of 3 when k = 2) has conductor 4, and one of order
+    ord on the 5-component has conductor 4 * ord = 4 * gcd(ord, 2^(k-2)).
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     gens: list[int] = []
     orders: list[int] = []
+    parts: list[tuple[int, int]] = []
     for p, e in factorize(q):
         pk = p**e
         if p == 2:
@@ -152,17 +163,26 @@ def unit_group(q: int) -> UnitGroupStructure:
             if e == 2:
                 gens.append(_crt_lift(3, 4, q))
                 orders.append(2)
+                parts.append((4, 1))
             else:
                 gens.append(_crt_lift(pk - 1, pk, q))
                 orders.append(2)
+                parts.append((4, 1))
                 gens.append(_crt_lift(5, pk, q))
                 orders.append(2 ** (e - 2))
+                parts.append((4, 2 ** (e - 2)))
         else:
             phi = (p - 1) * p ** (e - 1)
             g = _smallest_generator(pk, phi)
             gens.append(_crt_lift(g, pk, q))
             orders.append(phi)
-    return UnitGroupStructure(modulus=q, generators=tuple(gens), orders=tuple(orders))
+            parts.append((p, p ** (e - 1)))
+    return UnitGroupStructure(
+        modulus=q,
+        generators=tuple(gens),
+        orders=tuple(orders),
+        conductor_parts=tuple(parts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +218,20 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 
 class _CharacterFamily:
-    """Per-modulus data used to build every character mod q at once.
+    """Per-modulus data used to build every character mod q.
 
     units[i] enumerates (Z/q)^* as products of generator powers; dlog[i]
     is the exponent vector of units[i]. A character with label vector
     (e_1, ..., e_r) maps units[i] to e(t_i / N) with
     t_i = sum_j e_j * dlog[i][j] * (N / order_j) mod N.
+
+    Its component j has order ord_j = order_j / gcd(e_j, order_j); the
+    character's order is the lcm of the ord_j and its conductor the lcm of
+    the local conductors of the components with e_j != 0 (see unit_group).
+    Odd components sit at distinct primes, where the lcm is the product;
+    the two components of 2^k (k >= 3) both have 2-power conductors, and
+    the 2-part of the conductor is the larger of them, so the product would
+    be wrong there.
     """
 
     def __init__(self, q: int):
@@ -218,59 +246,58 @@ class _CharacterFamily:
             ).astype(np.int64)
         else:
             dlog = np.zeros((phi, 0), dtype=np.int64)
-        # enumeration order matches unravel_index: first generator slowest
-        units = [1 % q]
-        for g, o in zip(self.group.generators, self.group.orders):
-            powers = [1]
-            for _ in range(o - 1):
-                powers.append(powers[-1] * g % q)
-            units = [u * pg % q for u in units for pg in powers]
-        self.units = np.asarray(units, dtype=np.int64)
+        # enumeration order matches unravel_index: first generator slowest;
+        # q < 2^31 keeps every int64 product below 2^62
+        units = np.array([1 % q], dtype=np.int64)
+        for g, o in zip(self.group.generators, orders):
+            powers = np.ones(1, dtype=np.int64)
+            step = g % q  # g ** len(powers) mod q
+            while len(powers) < o:
+                powers = np.concatenate([powers, powers * step % q])
+                step = step * step % q
+            units = (units[:, None] * powers[None, :o] % q).ravel()
+        self.units = units
         self.dlog = dlog
-        self.scale = np.array(
-            [self.n_root // o for o in orders], dtype=np.int64
-        )
+        self.orders = np.array(orders, dtype=np.int64)
+        self.scale = self.n_root // self.orders
+        parts = np.array(self.group.conductor_parts, dtype=np.int64).reshape(-1, 2)
+        self.cond_base, self.cond_ppow = parts[:, 0], parts[:, 1]
         self.units.setflags(write=False)
         self.dlog.setflags(write=False)
         # position of -1 mod q in the unit enumeration (== 1 for q <= 2)
         self.minus_one_pos = int(np.nonzero(self.units == (q - 1) % q)[0][0])
-        self._divisor_masks = [
-            (d, np.nonzero(self.units % d == 1 % d)[0]) for d in divisors(q)
-        ]
 
-    def exponent_table(self, label: tuple[int, ...]) -> np.ndarray:
-        coeff = np.asarray(label, dtype=np.int64) * self.scale
-        return (self.dlog @ coeff) % self.n_root if len(label) else np.zeros(
-            len(self.units), dtype=np.int64
-        )
+    def characters(self, labels: np.ndarray) -> list[DirichletCharacter]:
+        """The characters with the given (n x r) block of labels, in row order.
 
-    def all_exponent_tables(self) -> np.ndarray:
-        """(phi x phi) matrix: column j = exponent table of the j-th label.
-
-        Accumulated through float64 matmul (BLAS): every product is below
-        2^53 at desk scale, so the result is exact.
+        labels is int64; exponent tables are exact int64 products, one row
+        per character.
         """
-        if self.dlog.shape[1] == 0:
-            return np.zeros((len(self.units), 1), dtype=np.int32)
-        weights = (self.dlog * self.scale[None, :]).T  # labels enumerate like dlog
-        prod = self.dlog.astype(np.float64) @ weights.astype(np.float64)
-        np.mod(prod, self.n_root, out=prod)
-        return prod.astype(np.int32)
-
-    def conductor_of(self, exps: np.ndarray) -> int:
-        return int(self.conductors_of(exps[:, None])[0])
-
-    def conductors_of(self, table: np.ndarray) -> np.ndarray:
-        n_chars = table.shape[1]
-        out = np.zeros(n_chars, dtype=np.int64)
-        todo = np.ones(n_chars, dtype=bool)
-        for d, idx in self._divisor_masks:
-            if not todo.any():
-                break
-            hit = todo & ~np.any(table[idx, :], axis=0)
-            out[hit] = d
-            todo &= ~hit
-        return out
+        ords = self.orders // np.gcd(labels, self.orders)
+        local = np.where(
+            labels != 0, self.cond_base * np.gcd(ords, self.cond_ppow), 1
+        )
+        conds = np.lcm.reduce(local, axis=1, initial=1).tolist()
+        char_orders = np.lcm.reduce(ords, axis=1, initial=1).tolist()
+        tables = (labels * self.scale) @ self.dlog.T
+        np.mod(tables, self.n_root, out=tables)
+        tables.setflags(write=False)
+        even = (tables[:, self.minus_one_pos] == 0).tolist()
+        return [
+            DirichletCharacter(
+                modulus=self.q,
+                label=tuple(label),
+                conductor=cond,
+                parity="even" if ev else "odd",
+                order=order,
+                root_order=self.n_root,
+                unit_residues=self.units,
+                unit_exponents=exps,
+            )
+            for label, cond, ev, order, exps in zip(
+                labels.tolist(), conds, even, char_orders, tables
+            )
+        ]
 
 
 @lru_cache(maxsize=64)
@@ -377,46 +404,17 @@ class DirichletCharacter:
         }
 
 
-def _build_character(
-    fam: _CharacterFamily,
-    label: tuple[int, ...],
-    exps: np.ndarray,
-    cond: int,
-    order: int | None = None,
-) -> DirichletCharacter:
-    n = fam.n_root
-    parity = "even" if exps[fam.minus_one_pos] == 0 else "odd"
-    if order is None:
-        order = n // int(np.gcd.reduce(np.concatenate([exps, [n]])))
-    exps = np.ascontiguousarray(exps)
-    exps.setflags(write=False)
-    return DirichletCharacter(
-        modulus=fam.q,
-        label=label,
-        conductor=cond,
-        parity=parity,
-        order=order,
-        root_order=n,
-        unit_residues=fam.units,
-        unit_exponents=exps,
-    )
+_LABEL_BLOCK = 256  # labels per exponent-table block in enumerate_characters
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, in lexicographic label order."""
     fam = _family(q)
-    orders = fam.group.orders
-    labels = list(product(*(range(o) for o in orders)))
-    table = fam.all_exponent_tables()
-    conds = fam.conductors_of(table)
-    n = fam.n_root
-    char_orders = n // np.gcd(np.gcd.reduce(table, axis=0), n)
-    return [
-        _build_character(
-            fam, labels[j], table[:, j], int(conds[j]), int(char_orders[j])
-        )
-        for j in range(len(labels))
-    ]
+    chars: list[DirichletCharacter] = []
+    for start in range(0, len(fam.dlog), _LABEL_BLOCK):
+        # labels enumerate like dlog
+        chars.extend(fam.characters(fam.dlog[start : start + _LABEL_BLOCK]))
+    return chars
 
 
 def character_from_label(q: int, label) -> DirichletCharacter:
@@ -430,15 +428,15 @@ def character_from_label(q: int, label) -> DirichletCharacter:
         raise ValueError(
             f"label {label} invalid for mod {q}: component orders are {orders}"
         )
-    exps = fam.exponent_table(label)
-    return _build_character(fam, label, exps, fam.conductor_of(exps))
+    return fam.characters(np.array([label], dtype=np.int64))[0]
 
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest d | q with chi(a) = 1 for every unit a with a = 1 mod d.
 
-    Definitional test over all divisors; the character is primitive exactly
-    when the result equals its modulus.
+    Definitional test over all divisors, kept as the oracle for the
+    conductor field that the characters carry (read from the label); the
+    character is primitive exactly when the result equals its modulus.
     """
     for d in divisors(chi.modulus):
         mask = chi.unit_residues % d == 1 % d

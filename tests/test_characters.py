@@ -1,6 +1,7 @@
 """Character construction against exhaustive small-modulus oracles."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -49,6 +50,28 @@ def conductor_oracle(chi) -> int:
         if ok:
             return d
     return q
+
+
+def units_oracle(q: int) -> list[int]:
+    """Oracle: the unit enumeration by Python-int generator powers, first
+    generator slowest (the order labels and dlog rows follow)."""
+    units = [1 % q]
+    ug = unit_group(q)
+    for g, o in zip(ug.generators, ug.orders):
+        powers = [pow(g, k, q) for k in range(o)]
+        units = [u * pg % q for u in units for pg in powers]
+    return units
+
+
+def order_oracle(chi) -> int:
+    """Oracle: smallest k >= 1 with k * t_a = 0 mod N for every unit a.
+
+    k = N always qualifies and the qualifying k are the multiples of the
+    smallest one, so the scan runs over the divisors of N in order.
+    """
+    for k in sympy.divisors(chi.root_order):
+        if not np.any(k * chi.unit_exponents % chi.root_order):
+            return k
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +151,7 @@ def test_count_and_distinct(q):
     assert len(chars) == euler_phi(q)
     tables = {tuple(c.unit_exponents.tolist()) for c in chars}
     assert len(tables) == len(chars)
+    assert chars[0].unit_residues.tolist() == units_oracle(q)
 
 
 @pytest.mark.parametrize("q", range(2, Q_TEST + 1))
@@ -194,6 +218,34 @@ def test_conductor_matches_oracle_and_field(q):
         assert c == chi.conductor
         assert c == conductor_oracle(chi)
         assert q % c == 0
+        assert chi.order == order_oracle(chi)
+
+
+@pytest.mark.parametrize("q", [1009, 1024, 2**5 * 3**2 * 5 * 7])
+def test_enumeration_beyond_one_label_block(q):
+    """phi(q) > 256, so the tables are built in more than one label block."""
+    chars = enumerate_characters(q)
+    orders = unit_group(q).orders
+    assert [chi.label for chi in chars] == list(product(*(range(o) for o in orders)))
+    assert len({chi.unit_exponents.tobytes() for chi in chars}) == euler_phi(q)
+    assert chars[0].unit_residues.tolist() == units_oracle(q)
+    for chi in chars:
+        assert chi.conductor == conductor(chi)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [10007, 101**2, 2**3 * 3**2 * 5 * 7 * 11, 2**2 * 5**2 * 7 * 11 * 13, 317**2],
+)
+def test_character_from_label_large_q(q):
+    rng = np.random.default_rng(q)
+    orders = unit_group(q).orders
+    for _ in range(4):
+        chi = character_from_label(q, [int(rng.integers(o)) for o in orders])
+        assert chi.conductor == conductor(chi)
+        assert chi.values()[q - 1] == (1.0 if chi.parity == "even" else -1.0)
+        assert chi.order == order_oracle(chi)
+    assert chi.unit_residues.tolist() == units_oracle(q)
 
 
 @pytest.mark.parametrize("q", range(1, 201))

@@ -1,0 +1,35 @@
+"""The benchmark's span tracer still finds and restores every wrapped name."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("pv_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_wraps_and_uninstall_restores():
+    tracing = _load_tracing()
+    targets = [
+        (importlib.import_module(f"pvbounds.{mod}"), attr)
+        for mod, attr, _, _ in tracing.TARGETS
+    ]
+    before = [getattr(mod, attr) for mod, attr in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (mod, attr), fn in zip(targets, before):
+            assert getattr(mod, attr) is not fn, f"{mod.__name__}.{attr} not wrapped"
+        characters = importlib.import_module("pvbounds.characters")
+        assert len(characters.enumerate_characters(5)) == 4
+        assert tracer.count("characters.enumerate") == 1
+    finally:
+        tracer.uninstall()
+    for (mod, attr), fn in zip(targets, before):
+        assert getattr(mod, attr) is fn, f"{mod.__name__}.{attr} not restored"
