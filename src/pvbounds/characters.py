@@ -6,7 +6,8 @@ Conductor and order are read from the generator-exponent label by local
 rules, parity from the exponent at -1; all three are exact integer
 arithmetic, and complex value tables are materialized on demand.
 conductor() is the definitional divisor-by-divisor test, kept as the oracle
-that the label rule is checked against.
+that the label rule is checked against. The Gauss sums of every character
+mod q come from one inverse DFT over the unit-group index grid.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -23,10 +25,12 @@ __all__ = [
     "GaussSum",
     "unit_group",
     "enumerate_characters",
+    "primitive_mask",
     "character_from_label",
     "conductor",
     "gauss_sum",
     "gauss_sums",
+    "gauss_sum_table",
     "twist_identity_check",
     "twist_discrepancies",
     "delta_q_check",
@@ -267,17 +271,22 @@ class _CharacterFamily:
         # position of -1 mod q in the unit enumeration (== 1 for q <= 2)
         self.minus_one_pos = int(np.nonzero(self.units == (q - 1) % q)[0][0])
 
+    def conductors(self, labels: np.ndarray) -> np.ndarray:
+        """Conductor of each character in an (n x r) int64 block of labels."""
+        ords = self.orders // np.gcd(labels, self.orders)
+        local = np.where(
+            labels != 0, self.cond_base * np.gcd(ords, self.cond_ppow), 1
+        )
+        return np.lcm.reduce(local, axis=1, initial=1)
+
     def characters(self, labels: np.ndarray) -> list[DirichletCharacter]:
         """The characters with the given (n x r) block of labels, in row order.
 
         labels is int64; exponent tables are exact int64 products, one row
         per character.
         """
+        conds = self.conductors(labels).tolist()
         ords = self.orders // np.gcd(labels, self.orders)
-        local = np.where(
-            labels != 0, self.cond_base * np.gcd(ords, self.cond_ppow), 1
-        )
-        conds = np.lcm.reduce(local, axis=1, initial=1).tolist()
         char_orders = np.lcm.reduce(ords, axis=1, initial=1).tolist()
         tables = (labels * self.scale) @ self.dlog.T
         np.mod(tables, self.n_root, out=tables)
@@ -407,14 +416,24 @@ class DirichletCharacter:
 _LABEL_BLOCK = 256  # labels per exponent-table block in enumerate_characters
 
 
-def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, in lexicographic label order."""
+def enumerate_characters(q: int, primitive_only: bool = False):
+    """The characters mod q, in lexicographic label order: all phi(q) of
+    them as a list, or with primitive_only the primitive ones as an iterator
+    that builds 256 exponent tables at a time, so memory stays bounded.
+    """
     fam = _family(q)
-    chars: list[DirichletCharacter] = []
-    for start in range(0, len(fam.dlog), _LABEL_BLOCK):
-        # labels enumerate like dlog
-        chars.extend(fam.characters(fam.dlog[start : start + _LABEL_BLOCK]))
-    return chars
+    labels = fam.dlog[primitive_mask(q)] if primitive_only else fam.dlog
+    chars = chain.from_iterable(
+        fam.characters(labels[start : start + _LABEL_BLOCK])
+        for start in range(0, len(labels), _LABEL_BLOCK)
+    )
+    return chars if primitive_only else list(chars)
+
+
+def primitive_mask(q: int) -> np.ndarray:
+    """Which labels mod q, in enumeration order (rows of dlog), have conductor q."""
+    fam = _family(q)
+    return fam.conductors(fam.dlog) == q
 
 
 def character_from_label(q: int, label) -> DirichletCharacter:
@@ -457,24 +476,30 @@ class GaussSum:
     magnitude: float
 
 
-def gauss_sums(chars) -> np.ndarray:
-    """tau(chi) = sum_a chi(a) e(a/q) for characters sharing one modulus q.
+def gauss_sum_table(q: int) -> np.ndarray:
+    """tau(chi) = sum_a chi(a) e(a/q) for every character mod q, in label order.
 
-    Direct summation over the units, batched as one matrix-vector product;
-    every Gauss sum in the package is computed here.
+    On the unit-group index grid (dlog rows follow np.unravel_index), tau at
+    label e is sum_d e(sum_j e_j d_j / o_j) e(units[d] / q): phi(q) times an
+    inverse DFT, whose C-order output is in label order. Every Gauss sum in
+    the package is computed here.
     """
+    fam = _family(q)
+    phases = roots_of_unity(q)[fam.units]  # q = 1, 2: no generators, one label
+    return np.fft.ifftn(phases.reshape(fam.group.orders or (1,))).ravel() * len(phases)
+
+
+def gauss_sums(chars) -> np.ndarray:
+    """tau(chi) for characters sharing one modulus q, from gauss_sum_table."""
     if not chars:  # e.g. the primitive characters of q = 2 mod 4
         return np.zeros(0, dtype=np.complex128)
     q = chars[0].modulus
-    phases = roots_of_unity(q)[chars[0].unit_residues % q]
-    vals = roots_of_unity(chars[0].root_order)[
-        np.stack([chi.unit_exponents for chi in chars])
-    ]
-    return vals @ phases
+    orders = _family(q).group.orders
+    return gauss_sum_table(q)[[np.ravel_multi_index(chi.label, orders) for chi in chars]]
 
 
 def gauss_sum(chi: DirichletCharacter) -> GaussSum:
-    """tau(chi) = sum_a chi(a) e(a/q) by direct summation over the units."""
+    """tau(chi) = sum_a chi(a) e(a/q), read from gauss_sum_table."""
     tau = complex(gauss_sums([chi])[0])
     return GaussSum(value=tau, magnitude=abs(tau))
 

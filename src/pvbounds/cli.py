@@ -9,7 +9,7 @@ import math
 import sys
 
 from . import bounds, kernel, lemmas
-from .characters import character_from_label, conductor
+from .characters import character_from_label, conductor, unit_group
 from .harness import DEFAULT_BOUNDS, SweepConfig, run_sweep, verify_all
 
 
@@ -172,8 +172,14 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_char_info(args) -> int:
-    label = tuple(int(t) for t in args.label.replace(".", ",").split(",") if t != "")
-    chi = character_from_label(args.q, label)
+    orders = unit_group(args.q).orders
+    try:
+        label = [int(t) for t in args.label.replace(".", ",").split(",") if t != ""]
+        chi = character_from_label(args.q, label)
+    except ValueError:  # not an integer, the wrong length or out of range
+        print(f"error: label {args.label!r} invalid mod {args.q}: need integers "
+              f"0 <= e_j < o_j for component orders {list(orders)}", file=sys.stderr)
+        return 2
     info = chi.to_json_dict()
     info["primitive"] = chi.is_primitive
     info["principal"] = chi.is_principal

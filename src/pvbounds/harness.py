@@ -24,7 +24,8 @@ import numpy as np
 from . import bounds, kernel, lemmas
 from .characters import (
     enumerate_characters,
-    gauss_sums,
+    gauss_sum_table,
+    primitive_mask,
     twist_discrepancies,
     unit_group,
 )
@@ -175,8 +176,8 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
     orders = unit_group(q).orders
     bound_cache: dict[str, bounds.BoundValue] = {}
     computed: dict[tuple[int, ...], tuple[float, float, tuple[int, int]]] = {}
-    for chi in enumerate_characters(q):
-        if not chi.is_primitive or chi.parity not in parities:
+    for chi in enumerate_characters(q, primitive_only=True):
+        if chi.parity not in parities:
             continue
         conj_label = tuple((-e) % o for e, o in zip(chi.label, orders))
         cached = computed.get(conj_label)
@@ -246,27 +247,26 @@ class SweepReport:
         return {
             "schema": SCHEMA_VERSION,
             "summary": self.summary,
-            "rows": [
-                {
-                    "q": r.q,
-                    "label": list(r.label),
-                    "parity": r.parity,
-                    "conductor": r.conductor,
-                    "s_chi": r.s_chi,
-                    "t_chi": r.t_chi,
-                    "M": r.m_witness,
-                    "N": r.n_witness,
-                    "ratio": r.ratio,
-                    "bounds": {
-                        name: {"value": v, "margin": m}
-                        for name, v, m in zip(
-                            self.config.bounds, r.bound_values, r.margins
-                        )
-                    },
-                }
-                for r in self.rows
-            ],
+            "rows": [_json_record(r, self.config.bounds) for r in self.rows],
         }
+
+
+def _json_record(row: SweepRow, bound_names) -> dict:
+    return {
+        "q": row.q,
+        "label": list(row.label),
+        "parity": row.parity,
+        "conductor": row.conductor,
+        "s_chi": row.s_chi,
+        "t_chi": row.t_chi,
+        "M": row.m_witness,
+        "N": row.n_witness,
+        "ratio": row.ratio,
+        "bounds": {
+            name: {"value": v, "margin": m}
+            for name, v, m in zip(bound_names, row.bound_values, row.margins)
+        },
+    }
 
 
 def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport:
@@ -289,7 +289,6 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
     sink = None
     tmp_path = None
     csv_writer = None
-    json_rows = None
     if cfg.output_path:
         fd, tmp_path = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(cfg.output_path)), suffix=".tmp"
@@ -301,8 +300,8 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
         if cfg.output_format == "csv":
             csv_writer = csv.writer(sink, lineterminator="\n")
             csv_writer.writerow(_csv_header(cfg.bounds))
-        else:
-            json_rows = []
+        else:  # rows stream into the list; the summary follows them
+            sink.write(f'{{"schema": {SCHEMA_VERSION}, "rows": [')
 
     try:
         args = ((q, cfg.parities, cfg.bounds) for q in range(cfg.q_min, cfg.q_max + 1))
@@ -329,8 +328,9 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
                     )
                 if csv_writer is not None:
                     csv_writer.writerow(_csv_record(row))
-                elif json_rows is not None:
-                    json_rows.append(row)
+                elif sink is not None:
+                    sink.write("\n" if n_rows == 1 else ",\n")
+                    sink.write(json.dumps(_json_record(row, cfg.bounds)))
                 if cfg.store_rows:
                     kept_rows.append(row)
     except BaseException:
@@ -362,10 +362,10 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
     report = SweepReport(config=cfg, summary=summary, rows=kept_rows)
 
     if sink is not None:
-        if json_rows is not None:
-            tmp_report = SweepReport(config=cfg, summary=summary, rows=json_rows)
-            json.dump(tmp_report.to_json_dict(), sink, indent=1)
-            sink.write("\n")
+        if csv_writer is None:
+            sink.write('\n],\n"summary": ')
+            json.dump(summary, sink, indent=1)
+            sink.write("}\n")
         sink.close()
         os.replace(tmp_path, cfg.output_path)
 
@@ -379,12 +379,9 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
 
 
 def _gauss_worker(q: int) -> tuple[int, float]:
-    chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
-    if not chars:
-        return 0, 0.0
-    taus = gauss_sums(chars)
-    worst = float(np.abs(np.abs(taus) - math.sqrt(q)).max()) / math.sqrt(q)
-    return len(chars), worst
+    taus = gauss_sum_table(q)[primitive_mask(q)]
+    worst = float(np.abs(np.abs(taus) - math.sqrt(q)).max(initial=0.0))
+    return len(taus), worst / math.sqrt(q)
 
 
 def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
@@ -397,21 +394,17 @@ def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
 
 def _twist_worker(args) -> tuple[int, float]:
     q, m_per_char, seed = args
-    prim = [
-        (idx, chi)
-        for idx, chi in enumerate(enumerate_characters(q))
-        if chi.is_primitive
-    ]
-    if not prim:
-        return 0, 0.0
-    taus = gauss_sums([chi for _, chi in prim])
+    mask = primitive_mask(q)
+    taus = gauss_sum_table(q)[mask]
+    prim = enumerate_characters(q, primitive_only=True)
     worst = 0.0
-    for (idx, chi), tau in zip(prim, taus):
+    # each character's twists are seeded by its row in the full enumeration
+    for idx, chi, tau in zip(np.flatnonzero(mask).tolist(), prim, taus):
         rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
         ms = rng.integers(0, 10 * q, size=m_per_char)
         errs = twist_discrepancies(chi, ms, tau)
         worst = max(worst, float(errs.max()) / math.sqrt(q))
-    return m_per_char * len(prim), worst
+    return m_per_char * len(taus), worst
 
 
 def twist_check_range(

@@ -1,7 +1,8 @@
 """Character construction against exhaustive small-modulus oracles."""
 
 import math
-from itertools import product
+import tracemalloc
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from pvbounds.characters import (
     enumerate_characters,
     euler_phi,
     gauss_sum,
+    gauss_sum_table,
     gauss_sums,
+    primitive_mask,
     roots_of_unity,
     twist_discrepancies,
     twist_identity_check,
@@ -248,6 +251,35 @@ def test_character_from_label_large_q(q):
     assert chi.unit_residues.tolist() == units_oracle(q)
 
 
+@pytest.mark.parametrize("q", range(1, 301))
+def test_primitive_stream_matches_conductor_oracle(q):
+    """The primitive characters, streamed, are those the divisor-scan
+    conductor() keeps from the full enumeration, in the same order."""
+    full = enumerate_characters(q)
+    kept = [chi for chi in full if conductor(chi) == q]
+    streamed = list(enumerate_characters(q, primitive_only=True))
+    assert [chi.label for chi in streamed] == [chi.label for chi in kept]
+    for chi, want in zip(streamed, kept):
+        assert np.array_equal(chi.unit_exponents, want.unit_exponents)
+        assert chi.conductor == q
+    assert primitive_mask(q).tolist() == [conductor(chi) == q for chi in full]
+
+
+def test_primitive_stream_holds_one_block_of_tables():
+    """At q = 27091 all primitive tables would take phi^2 * 8 bytes (~5.9 GB);
+    taking the first block of 256 must cost about that block alone."""
+    q = 27091
+    tracemalloc.start()
+    try:
+        block = list(islice(enumerate_characters(q, primitive_only=True), 256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(chi.unit_exponents.nbytes for chi in block)
+    assert len(block) == 256 and tables == 256 * (q - 1) * 8
+    assert peak < 2 * tables
+
+
 @pytest.mark.parametrize("q", range(1, 201))
 def test_primitive_census(q):
     count = sum(c.is_primitive for c in enumerate_characters(q))
@@ -290,6 +322,29 @@ def test_gauss_sums_batch_matches_gauss_sum(q):
     for chi, tau in zip(chars, taus):
         assert abs(tau - gauss_sum(chi).value) < 1e-12 * math.sqrt(q)
         # definitional tau(chi) = sum_a chi(a) e(a/q), computed here
+        assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
+
+
+@pytest.mark.parametrize("q", range(1, Q_TEST + 1))
+def test_gauss_sum_table_matches_definition(q):
+    """Every label, imprimitive ones and the empty grids of q = 1, 2 included."""
+    chars = enumerate_characters(q)
+    e_q = np.exp(2j * np.pi * np.arange(q) / q)
+    want = np.array([chi.values() @ e_q for chi in chars])
+    assert np.abs(gauss_sum_table(q) - want).max() < 1e-12 * math.sqrt(q)
+    assert np.abs(gauss_sums(chars) - want).max() < 1e-12 * math.sqrt(q)
+
+
+@pytest.mark.parametrize("q", [10007, 101**2, 2**3 * 3**2 * 5 * 7 * 11])
+def test_gauss_sums_large_q_match_direct_sum(q):
+    rng = np.random.default_rng(q)
+    orders = unit_group(q).orders
+    chars = [
+        character_from_label(q, [int(rng.integers(o)) for o in orders])
+        for _ in range(6)
+    ]
+    e_q = np.exp(2j * np.pi * np.arange(q) / q)
+    for chi, tau in zip(chars, gauss_sums(chars)):
         assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
 
 

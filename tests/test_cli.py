@@ -105,6 +105,18 @@ def test_char_info_cmd(capsys):
     assert info["primitive"] is False
 
 
+@pytest.mark.parametrize(
+    "label", ["1,3,5,2,6,4", "1,3,5,2", "1,3,x,2,6", "1,20,5,2,6", "1,3,5,-1,6"]
+)
+def test_char_info_bad_label_one_line_error(capsys, label):
+    """Wrong length, out of range or not an integer: exit 2, no traceback."""
+    code, out, err = run_cli(capsys, "char-info", "--q", "100100", "--label", label)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "[2, 20, 6, 10, 12]" in err
+
+
 def test_verify_all_cmd_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify-all", "--q-min", "3", "--q-max", "30"

@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 
-from pvbounds import bounds
-from pvbounds.characters import enumerate_characters
+from pvbounds import bounds, harness
+from pvbounds.characters import conductor, enumerate_characters
 from pvbounds.charsums import char_sum_result
 from pvbounds.harness import (
     SweepConfig,
@@ -143,6 +145,17 @@ def test_sweep_json_schema(tmp_path):
     assert "theorem1" in data["rows"][0]["bounds"]
 
 
+def test_sweep_json_stream_matches_report(tmp_path):
+    path = tmp_path / "out.json"
+    run_sweep(SweepConfig(q_min=3, q_max=12, output_format="json", output_path=str(path)))
+    got = json.loads(path.read_text())
+    # tuples in the report become lists in JSON
+    want = json.loads(json.dumps(run_sweep(SweepConfig(q_min=3, q_max=12)).to_json_dict()))
+    del got["summary"]["wall_time_s"], want["summary"]["wall_time_s"]
+    assert got == want
+    assert len(got["rows"]) == got["summary"]["characters_checked"] > 0
+
+
 def test_sweep_streams_atomically(tmp_path):
     path = tmp_path / "out.csv"
     run_sweep(SweepConfig(q_min=3, q_max=30, output_path=str(path)))
@@ -213,6 +226,43 @@ def test_twist_check_range_small():
     count, worst = twist_check_range(3, 40, m_per_char=10)
     assert worst < 1e-8
     assert count > 0
+
+
+def test_twist_worker_draws_by_full_enumeration_row(monkeypatch):
+    """Each primitive character's twists are seeded by its row among all
+    phi(q) characters, as a reference loop over the full enumeration does."""
+    seed, m_per_char = 7, 5
+    want = []
+    for q in range(3, 41):
+        for idx, chi in enumerate(enumerate_characters(q)):
+            if conductor(chi) == q:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
+                want.append((q, chi.label, rng.integers(0, 10 * q, size=m_per_char).tolist()))
+    got = []
+    real = harness.twist_discrepancies
+
+    def recording(chi, ms, tau):
+        got.append((chi.modulus, chi.label, [int(m) for m in ms]))
+        return real(chi, ms, tau)
+
+    monkeypatch.setattr(harness, "twist_discrepancies", recording)
+    count, worst = twist_check_range(3, 40, m_per_char=m_per_char, seed=seed)
+    assert got == want
+    assert count == m_per_char * len(want)
+    assert worst < 1e-8
+
+
+def test_gauss_check_past_odd_crossover_in_bounded_memory():
+    """A phi* x phi table at q = 27091 would take ~5.9 GB."""
+    tracemalloc.start()
+    try:
+        count, worst = gauss_check_range(27091, 27091)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 27091 - 2
+    assert worst < 1e-8
+    assert peak < 64 * 2**20
 
 
 def test_identity_checks_independent_of_worker_count(monkeypatch):
