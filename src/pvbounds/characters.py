@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -25,6 +24,7 @@ __all__ = [
     "GaussSum",
     "unit_group",
     "enumerate_characters",
+    "primitive_characters",
     "primitive_mask",
     "character_from_label",
     "conductor",
@@ -131,10 +131,7 @@ class UnitGroupStructure:
 
     @property
     def phi(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return math.prod(self.orders)
 
     @property
     def exponent(self) -> int:
@@ -164,14 +161,10 @@ def unit_group(q: int) -> UnitGroupStructure:
         if p == 2:
             if e == 1:
                 continue  # (Z/2)^* is trivial
-            if e == 2:
-                gens.append(_crt_lift(3, 4, q))
-                orders.append(2)
-                parts.append((4, 1))
-            else:
-                gens.append(_crt_lift(pk - 1, pk, q))
-                orders.append(2)
-                parts.append((4, 1))
+            gens.append(_crt_lift(pk - 1, pk, q))  # -1, which is 3 when e = 2
+            orders.append(2)
+            parts.append((4, 1))
+            if e >= 3:
                 gens.append(_crt_lift(5, pk, q))
                 orders.append(2 ** (e - 2))
                 parts.append((4, 2 ** (e - 2)))
@@ -271,13 +264,14 @@ class _CharacterFamily:
         # position of -1 mod q in the unit enumeration (== 1 for q <= 2)
         self.minus_one_pos = int(np.nonzero(self.units == (q - 1) % q)[0][0])
 
-    def conductors(self, labels: np.ndarray) -> np.ndarray:
-        """Conductor of each character in an (n x r) int64 block of labels."""
+    def orders_and_conductors(self, labels: np.ndarray):
+        """Component orders ord_j (n x r) and conductors (n) of the characters
+        in an (n x r) int64 block of labels."""
         ords = self.orders // np.gcd(labels, self.orders)
         local = np.where(
             labels != 0, self.cond_base * np.gcd(ords, self.cond_ppow), 1
         )
-        return np.lcm.reduce(local, axis=1, initial=1)
+        return ords, np.lcm.reduce(local, axis=1, initial=1)
 
     def characters(self, labels: np.ndarray) -> list[DirichletCharacter]:
         """The characters with the given (n x r) block of labels, in row order.
@@ -285,8 +279,7 @@ class _CharacterFamily:
         labels is int64; exponent tables are exact int64 products, one row
         per character.
         """
-        conds = self.conductors(labels).tolist()
-        ords = self.orders // np.gcd(labels, self.orders)
+        ords, conds = self.orders_and_conductors(labels)
         char_orders = np.lcm.reduce(ords, axis=1, initial=1).tolist()
         tables = (labels * self.scale) @ self.dlog.T
         np.mod(tables, self.n_root, out=tables)
@@ -304,7 +297,7 @@ class _CharacterFamily:
                 unit_exponents=exps,
             )
             for label, cond, ev, order, exps in zip(
-                labels.tolist(), conds, even, char_orders, tables
+                labels.tolist(), conds.tolist(), even, char_orders, tables
             )
         ]
 
@@ -413,41 +406,49 @@ class DirichletCharacter:
         }
 
 
-_LABEL_BLOCK = 256  # labels per exponent-table block in enumerate_characters
+_LABEL_BLOCK = 256  # labels per exponent-table block
 
 
-def enumerate_characters(q: int, primitive_only: bool = False):
-    """The characters mod q, in lexicographic label order: all phi(q) of
-    them as a list, or with primitive_only the primitive ones as an iterator
-    that builds 256 exponent tables at a time, so memory stays bounded.
-    """
+def enumerate_characters(q: int) -> list[DirichletCharacter]:
+    """All phi(q) characters mod q, in lexicographic label order."""
     fam = _family(q)
-    labels = fam.dlog[primitive_mask(q)] if primitive_only else fam.dlog
-    chars = chain.from_iterable(
-        fam.characters(labels[start : start + _LABEL_BLOCK])
-        for start in range(0, len(labels), _LABEL_BLOCK)
-    )
-    return chars if primitive_only else list(chars)
+    chars: list[DirichletCharacter] = []
+    for start in range(0, len(fam.dlog), _LABEL_BLOCK):
+        # labels enumerate like dlog
+        chars.extend(fam.characters(fam.dlog[start : start + _LABEL_BLOCK]))
+    return chars
+
+
+def primitive_characters(q: int):
+    """The primitive characters mod q, in label order, built 256 exponent
+    tables at a time so that memory stays bounded."""
+    fam = _family(q)
+    labels = fam.dlog[primitive_mask(q)]
+    for start in range(0, len(labels), _LABEL_BLOCK):
+        yield from fam.characters(labels[start : start + _LABEL_BLOCK])
 
 
 def primitive_mask(q: int) -> np.ndarray:
     """Which labels mod q, in enumeration order (rows of dlog), have conductor q."""
     fam = _family(q)
-    return fam.conductors(fam.dlog) == q
+    return fam.orders_and_conductors(fam.dlog)[1] == q
 
 
 def character_from_label(q: int, label) -> DirichletCharacter:
-    """Reconstruct a character from its generator-exponent label."""
+    """Reconstruct a character from its generator-exponent label; the
+    entries are read with int(), so strings of integers are accepted."""
     fam = _family(q)
     orders = fam.group.orders
-    label = tuple(int(e) for e in label)
-    if len(label) != len(orders) or any(
-        not (0 <= e < o) for e, o in zip(label, orders)
+    try:
+        exps = [int(e) for e in label]
+    except ValueError:
+        exps = None
+    if exps is None or len(exps) != len(orders) or any(
+        not 0 <= e < o for e, o in zip(exps, orders)
     ):
-        raise ValueError(
-            f"label {label} invalid for mod {q}: component orders are {orders}"
-        )
-    return fam.characters(np.array([label], dtype=np.int64))[0]
+        raise ValueError(f"label {','.join(map(str, label))} invalid mod {q}: "
+                         f"need 0 <= e_j < o_j for component orders {list(orders)}")
+    return fam.characters(np.array([exps], dtype=np.int64))[0]
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -499,7 +500,10 @@ def gauss_sums(chars) -> np.ndarray:
 
 
 def gauss_sum(chi: DirichletCharacter) -> GaussSum:
-    """tau(chi) = sum_a chi(a) e(a/q), read from gauss_sum_table."""
+    """tau(chi) = sum_a chi(a) e(a/q), read from gauss_sum_table.
+
+    Each call transforms the whole unit group: for many characters of one
+    modulus, take gauss_sum_table(q) once."""
     tau = complex(gauss_sums([chi])[0])
     return GaussSum(value=tau, magnitude=abs(tau))
 

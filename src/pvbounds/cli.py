@@ -9,7 +9,7 @@ import math
 import sys
 
 from . import bounds, kernel, lemmas
-from .characters import character_from_label, conductor, unit_group
+from .characters import character_from_label, conductor
 from .harness import DEFAULT_BOUNDS, SweepConfig, run_sweep, verify_all
 
 
@@ -63,42 +63,21 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     parities = ("even", "odd") if args.parity == "both" else (args.parity,)
-    rows = []
-    for parity in parities:
-        for bv in bounds.catalog_bounds(args.q, parity):
-            rows.append(bv)
+    cols = ["q", "parity", "bound_name", "quantity", "value", "main_term",
+            "second_term", "psi_term", "as_printed"]
+    rows = [
+        [bv.q, bv.parity, bv.name, bv.quantity, bv.value, bv.main_term,
+         bv.second_term, bv.psi_term, bv.as_printed]
+        for parity in parities
+        for bv in bounds.catalog_bounds(args.q, parity)
+    ]
     if args.format == "json":
-        json.dump(
-            [
-                {
-                    "q": bv.q,
-                    "parity": bv.parity,
-                    "bound_name": bv.name,
-                    "quantity": bv.quantity,
-                    "value": bv.value,
-                    "main_term": bv.main_term,
-                    "second_term": bv.second_term,
-                    "psi_term": bv.psi_term,
-                    "as_printed": bv.as_printed,
-                }
-                for bv in rows
-            ],
-            sys.stdout,
-            indent=1,
-        )
+        json.dump([dict(zip(cols, row)) for row in rows], sys.stdout, indent=1)
         sys.stdout.write("\n")
-    else:
+    else:  # csv writes each float as repr() does
         w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(
-            ["q", "parity", "bound_name", "quantity", "value", "main_term",
-             "second_term", "psi_term", "as_printed"]
-        )
-        for bv in rows:
-            w.writerow(
-                [bv.q, bv.parity, bv.name, bv.quantity, repr(bv.value),
-                 repr(bv.main_term), repr(bv.second_term), repr(bv.psi_term),
-                 bv.as_printed]
-            )
+        w.writerow(cols)
+        w.writerows(rows)
     return 0
 
 
@@ -172,13 +151,11 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_char_info(args) -> int:
-    orders = unit_group(args.q).orders
+    label = [t for t in args.label.replace(".", ",").split(",") if t != ""]
     try:
-        label = [int(t) for t in args.label.replace(".", ",").split(",") if t != ""]
         chi = character_from_label(args.q, label)
-    except ValueError:  # not an integer, the wrong length or out of range
-        print(f"error: label {args.label!r} invalid mod {args.q}: need integers "
-              f"0 <= e_j < o_j for component orders {list(orders)}", file=sys.stderr)
+    except ValueError as exc:  # not an integer, the wrong length or out of range
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     info = chi.to_json_dict()
     info["primitive"] = chi.is_primitive

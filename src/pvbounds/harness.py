@@ -25,6 +25,7 @@ from . import bounds, kernel, lemmas
 from .characters import (
     enumerate_characters,
     gauss_sum_table,
+    gauss_sums,
     primitive_mask,
     twist_discrepancies,
     unit_group,
@@ -174,10 +175,10 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
     rows = []
     denom = math.sqrt(q) * math.log(q)
     orders = unit_group(q).orders
-    bound_cache: dict[str, bounds.BoundValue] = {}
+    bound_cache: dict[str, list[bounds.BoundValue]] = {}  # by parity
     computed: dict[tuple[int, ...], tuple[float, float, tuple[int, int]]] = {}
-    for chi in enumerate_characters(q, primitive_only=True):
-        if chi.parity not in parities:
+    for chi in enumerate_characters(q):
+        if not chi.is_primitive or chi.parity not in parities:
             continue
         conj_label = tuple((-e) % o for e, o in zip(chi.label, orders))
         cached = computed.get(conj_label)
@@ -187,17 +188,10 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
             res = char_sum_result(chi)
             s_chi, t_chi, s_witness = res.s_chi, res.t_chi, res.s_witness
             computed[chi.label] = (s_chi, t_chi, s_witness)
-        values = []
-        margins = []
-        for name in bound_names:
-            key = f"{name}:{chi.parity}"
-            bv = bound_cache.get(key)
-            if bv is None:
-                bv = bounds.evaluate_bound(name, q, chi.parity)
-                bound_cache[key] = bv
-            exact = s_chi if bv.quantity == "S" else t_chi
-            values.append(bv.value)
-            margins.append(bv.value - exact)
+        bvs = bound_cache.get(chi.parity)
+        if bvs is None:
+            bvs = [bounds.evaluate_bound(name, q, chi.parity) for name in bound_names]
+            bound_cache[chi.parity] = bvs
         rows.append(
             SweepRow(
                 q=q,
@@ -209,8 +203,10 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
                 m_witness=s_witness[0],
                 n_witness=s_witness[1],
                 ratio=s_chi / denom,
-                bound_values=tuple(values),
-                margins=tuple(margins),
+                bound_values=tuple(bv.value for bv in bvs),
+                margins=tuple(
+                    bv.value - (s_chi if bv.quantity == "S" else t_chi) for bv in bvs
+                ),
             )
         )
     return rows
@@ -394,17 +390,19 @@ def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
 
 def _twist_worker(args) -> tuple[int, float]:
     q, m_per_char, seed = args
-    mask = primitive_mask(q)
-    taus = gauss_sum_table(q)[mask]
-    prim = enumerate_characters(q, primitive_only=True)
+    prim = [
+        (idx, chi)
+        for idx, chi in enumerate(enumerate_characters(q))
+        if chi.is_primitive
+    ]
+    taus = gauss_sums([chi for _, chi in prim])
     worst = 0.0
-    # each character's twists are seeded by its row in the full enumeration
-    for idx, chi, tau in zip(np.flatnonzero(mask).tolist(), prim, taus):
+    for (idx, chi), tau in zip(prim, taus):
         rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
         ms = rng.integers(0, 10 * q, size=m_per_char)
         errs = twist_discrepancies(chi, ms, tau)
         worst = max(worst, float(errs.max()) / math.sqrt(q))
-    return m_per_char * len(taus), worst
+    return m_per_char * len(prim), worst
 
 
 def twist_check_range(
@@ -467,7 +465,6 @@ def verify_all(
     """
     if suites is None:
         suites = ALL_SUITES
-    warning = None
     if not suites:
         return VerifyOutcome(
             passed=True, suites=(), warning="empty suite selection: nothing verified"
@@ -538,6 +535,4 @@ def verify_all(
         "crossover": crossover_suite,
     }
     results = tuple(_run_suite(name, table[name]) for name in suites)
-    return VerifyOutcome(
-        passed=all(r.passed for r in results), suites=results, warning=warning
-    )
+    return VerifyOutcome(passed=all(r.passed for r in results), suites=results)
