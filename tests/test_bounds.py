@@ -193,6 +193,85 @@ def test_qiu_terms_as_printed():
     assert len(bv.terms) == 4
 
 
+def printed_formulas(q: int) -> dict:
+    """Every catalog entry written out from its published formula, as
+    (name, parity) -> [(term label, role, value)]."""
+    rq, lq = math.sqrt(q), math.log(q)
+    c = 4 * math.pi**2.5 + 5
+    g = EULER_GAMMA
+    qiu = [
+        ("(4/pi^2) sqrt(q) log q", "main", 4 / math.pi**2 * rq * lq),
+        ("0.38 sqrt(q)", "second", 0.38 * rq),
+        ("0.608 / sqrt(q)", "psi", 0.608 / rq),
+        ("0.116 sqrt(q)", "second", 0.116 * rq),
+    ]
+    dw = [
+        ("(1/(2 log 2)) sqrt(q) log q", "main", rq * lq / (2 * math.log(2))),
+        ("3 sqrt(q)", "second", 3 * rq),
+    ]
+    br = [
+        ("(1/(3 log 3)) sqrt(q) log q", "main", rq * lq / (3 * math.log(3))),
+        ("6.5 sqrt(q)", "second", 6.5 * rq),
+    ]
+    return {
+        ("theorem1", "even"): [
+            ("main", "main", 2 / math.pi**2 * rq * lq),
+            ("second", "second", 4 / math.pi**2 * rq * (1 + g + math.log(c))),
+            ("psi", "psi", 1 + 24 / (math.pi**2 * c)
+             + 8 / math.pi**2 * rq / math.expm1(2 * rq / c)),
+        ],
+        ("theorem1", "odd"): [
+            ("main", "main", rq * lq / (2 * math.pi)),
+            ("second", "second", rq / math.pi * (1 + g + math.log(2 * c / math.pi))),
+            ("psi", "psi", 1 + 3 / c + 2 / math.pi * rq / math.expm1(math.pi * rq / c)),
+        ],
+        ("pomerance", "even"): [
+            ("main", "main", 2 / math.pi**2 * rq * lq),
+            ("second", "second", 4 / math.pi**2 * rq * math.log(lq)),
+            ("remainder", "psi", 1.5 * rq),
+        ],
+        ("pomerance", "odd"): [
+            ("main", "main", rq * lq / (2 * math.pi)),
+            ("second", "second", rq * math.log(lq) / math.pi),
+            ("remainder", "psi", rq),
+        ],
+        ("qiu", "even"): qiu,
+        ("qiu", "odd"): qiu,
+        ("simalarides", "even"): [
+            ("(3/4pi) sqrt(q) log q", "main", 3 / (4 * math.pi) * rq * lq),
+            ("2 - log2/pi - gamma/2pi", "second",
+             2 - math.log(2) / math.pi - g / (2 * math.pi)),
+        ],
+        ("simalarides", "odd"): [
+            ("(1/pi) sqrt(q) log q", "main", rq * lq / math.pi),
+            ("sqrt(q)", "second", rq),
+            ("1/2", "psi", 0.5),
+        ],
+        ("dobrowolski_williams", "even"): dw,
+        ("dobrowolski_williams", "odd"): dw,
+        ("bachman_rachakonda", "even"): br,
+        ("bachman_rachakonda", "odd"): br,
+    }
+
+
+@pytest.mark.parametrize(
+    "name,parity", [(n, p) for n in bound_names() for p in ("even", "odd")]
+)
+def test_catalog_entry_matches_printed_formula(name, parity):
+    for q in (3, 10, 1000, 10**6):
+        bv = evaluate_bound(name, q, parity)
+        expected = printed_formulas(q)[name, parity]
+        assert [label for label, _, _ in expected] == [label for label, _ in bv.terms]
+        for (_, _, want), (_, got) in zip(expected, bv.terms):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (q, name, parity)
+        total = sum(v for _, _, v in expected)
+        assert bv.value == pytest.approx(total, rel=1e-12, abs=0.0)
+        for role in ("main", "second", "psi"):
+            want = sum(v for _, r, v in expected if r == role)
+            got = getattr(bv, f"{role}_term")
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (q, name, role)
+
+
 @pytest.mark.parametrize("name", bound_names())
 @pytest.mark.parametrize("q", [3, 10, 1000, 10**6])
 @pytest.mark.parametrize("parity", ["even", "odd"])
