@@ -1,9 +1,14 @@
 """Explicit character-sum bounds and crossover location.
 
-Every evaluator transcribes its published formula verbatim; entries whose
-printed form looks suspect carry as_printed=True so reports can flag them.
-Bounds on T (initial sums) rather than S (arbitrary intervals) are labeled
-by quantity and never silently converted.
+The catalog is one table. Per bound: the quantity it controls, S
+(arbitrary intervals) or T (initial sums), never silently converted; per
+parity: an as_printed flag, set where the printed form looks suspect, and
+the terms. A term is (printed label, role: main/second/psi, expression in
+q, sqrt q, log q), transcribed verbatim. value sums the terms in the order
+listed, and main_term/second_term/psi_term sum each role's terms.
+Constants stay as printed, not folded into one coefficient per power of
+q: (4/pi^2) sqrt(q) (1 + gamma + log C0) and b sqrt(q) differ in the last
+bit at many q, which would change the sweep CSV.
 """
 
 from __future__ import annotations
@@ -58,11 +63,6 @@ class BoundValue:
     terms: tuple[tuple[str, float], ...]
 
 
-def _require_q(q: int, minimum: int = 3) -> None:
-    if q < minimum:
-        raise ValueError(f"bound requires q >= {minimum}, got {q}")
-
-
 def _exp_remainder(x: float) -> float:
     """1 / (exp(x) - 1) for x > 0 without overflow (0 once exp underflows)."""
     if x > 745.0:
@@ -89,201 +89,122 @@ def psi2(q: int) -> float:
     )
 
 
-def theorem1_bound(q: int, parity: str) -> BoundValue:
-    """Sharpened explicit bound on S for primitive characters.
-
-    even: (2/pi^2) sqrt(q) log q + (4/pi^2) sqrt(q) (1 + gamma + log C0) + psi1(q)
-    odd:  (1/2pi) sqrt(q) log q + (1/pi) sqrt(q) (1 + gamma + log(2 C0/pi)) + psi2(q)
-    """
-    _require_q(q)
-    rq = math.sqrt(q)
-    lq = math.log(q)
-    c = c0()
-    if parity == "even":
-        main = (2.0 / math.pi**2) * rq * lq
-        second = (4.0 / math.pi**2) * rq * (1.0 + EULER_GAMMA + math.log(c))
-        psi = psi1(q)
-    elif parity == "odd":
-        main = (1.0 / (2.0 * math.pi)) * rq * lq
-        second = (1.0 / math.pi) * rq * (1.0 + EULER_GAMMA + math.log(2.0 * c / math.pi))
-        psi = psi2(q)
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return BoundValue(
-        name="theorem1",
-        q=q,
-        parity=parity,
-        quantity="S",
-        value=main + second + psi,
-        main_term=main,
-        second_term=second,
-        psi_term=psi,
-        as_printed=False,
-        terms=(("main", main), ("second", second), ("psi", psi)),
-    )
-
-
-def pomerance_bound(q: int, parity: str) -> BoundValue:
-    """Pomerance's explicit bound on S (the baseline to improve on).
-
-    even: (2/pi^2) sqrt(q) log q + (4/pi^2) sqrt(q) log log q + (3/2) sqrt(q)
-    odd:  (1/2pi) sqrt(q) log q + (1/pi) sqrt(q) log log q + sqrt(q)
-    """
-    _require_q(q)
-    rq = math.sqrt(q)
-    lq = math.log(q)
-    llq = math.log(lq)
-    if parity == "even":
-        main = (2.0 / math.pi**2) * rq * lq
-        second = (4.0 / math.pi**2) * rq * llq
-        rem = 1.5 * rq
-    elif parity == "odd":
-        main = (1.0 / (2.0 * math.pi)) * rq * lq
-        second = (1.0 / math.pi) * rq * llq
-        rem = rq
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return BoundValue(
-        name="pomerance",
-        q=q,
-        parity=parity,
-        quantity="S",
-        value=main + second + rem,
-        main_term=main,
-        second_term=second,
-        psi_term=rem,
-        as_printed=False,
-        terms=(("main", main), ("second", second), ("remainder", rem)),
-    )
-
-
-def _qiu_bound(q: int, parity: str) -> BoundValue:
+# name -> (quantity, {parity: (as_printed, terms)}), with rq = sqrt(q), lq = log q
+_CATALOG = {
+    "theorem1": ("S", {
+        "even": (False, (
+            ("main", "main", lambda q, rq, lq: (2.0 / math.pi**2) * rq * lq),
+            ("second", "second", lambda q, rq, lq:
+                (4.0 / math.pi**2) * rq * (1.0 + EULER_GAMMA + math.log(c0()))),
+            ("psi", "psi", lambda q, rq, lq: psi1(q)),
+        )),
+        "odd": (False, (
+            ("main", "main", lambda q, rq, lq: (1.0 / (2.0 * math.pi)) * rq * lq),
+            ("second", "second", lambda q, rq, lq: (1.0 / math.pi) * rq
+                * (1.0 + EULER_GAMMA + math.log(2.0 * c0() / math.pi))),
+            ("psi", "psi", lambda q, rq, lq: psi2(q)),
+        )),
+    }),
+    "pomerance": ("S", {
+        "even": (False, (
+            ("main", "main", lambda q, rq, lq: (2.0 / math.pi**2) * rq * lq),
+            ("second", "second",
+                lambda q, rq, lq: (4.0 / math.pi**2) * rq * math.log(lq)),
+            ("remainder", "psi", lambda q, rq, lq: 1.5 * rq),
+        )),
+        "odd": (False, (
+            ("main", "main", lambda q, rq, lq: (1.0 / (2.0 * math.pi)) * rq * lq),
+            ("second", "second", lambda q, rq, lq: (1.0 / math.pi) * rq * math.log(lq)),
+            ("remainder", "psi", lambda q, rq, lq: rq),
+        )),
+    }),
     # transcribed verbatim; 0.38 + 0.116 coefficients and the 1/sqrt(q)
     # term look like a transcription artifact, hence as_printed
-    _require_q(q)
-    rq = math.sqrt(q)
-    t1 = (4.0 / math.pi**2) * rq * math.log(q)
-    t2 = 0.38 * rq
-    t3 = 0.608 / rq
-    t4 = 0.116 * rq
-    return BoundValue(
-        name="qiu",
-        q=q,
-        parity=parity,
-        quantity="S",
-        value=t1 + t2 + t3 + t4,
-        main_term=t1,
-        second_term=t2 + t4,
-        psi_term=t3,
-        as_printed=True,
-        terms=(
-            ("(4/pi^2) sqrt(q) log q", t1),
-            ("0.38 sqrt(q)", t2),
-            ("0.608 / sqrt(q)", t3),
-            ("0.116 sqrt(q)", t4),
-        ),
-    )
-
-
-def _simalarides_bound(q: int, parity: str) -> BoundValue:
+    "qiu": ("S", dict.fromkeys(("even", "odd"), (True, (
+        ("(4/pi^2) sqrt(q) log q", "main",
+            lambda q, rq, lq: (4.0 / math.pi**2) * rq * lq),
+        ("0.38 sqrt(q)", "second", lambda q, rq, lq: 0.38 * rq),
+        ("0.608 / sqrt(q)", "psi", lambda q, rq, lq: 0.608 / rq),
+        ("0.116 sqrt(q)", "second", lambda q, rq, lq: 0.116 * rq),
+    )))),
     # bounds T, not S; the even constant term has no sqrt(q) factor as
     # printed, hence as_printed for that branch
-    _require_q(q)
-    rq = math.sqrt(q)
-    if parity == "even":
-        main = (3.0 / (4.0 * math.pi)) * rq * math.log(q)
-        second = 2.0 - math.log(2.0) / math.pi - EULER_GAMMA / (2.0 * math.pi)
-        rem = 0.0
-        as_printed = True
-        terms = (
-            ("(3/4pi) sqrt(q) log q", main),
-            ("2 - log2/pi - gamma/2pi", second),
-        )
-    else:
-        main = (1.0 / math.pi) * rq * math.log(q)
-        second = rq
-        rem = 0.5
-        as_printed = False
-        terms = (
-            ("(1/pi) sqrt(q) log q", main),
-            ("sqrt(q)", second),
-            ("1/2", rem),
-        )
-    return BoundValue(
-        name="simalarides",
-        q=q,
-        parity=parity,
-        quantity="T",
-        value=main + second + rem,
-        main_term=main,
-        second_term=second,
-        psi_term=rem,
-        as_printed=as_printed,
-        terms=terms,
-    )
-
-
-def _dobrowolski_williams_bound(q: int, parity: str) -> BoundValue:
-    _require_q(q)
-    rq = math.sqrt(q)
-    main = (1.0 / (2.0 * math.log(2.0))) * rq * math.log(q)
-    second = 3.0 * rq
-    return BoundValue(
-        name="dobrowolski_williams",
-        q=q,
-        parity=parity,
-        quantity="S",
-        value=main + second,
-        main_term=main,
-        second_term=second,
-        psi_term=0.0,
-        as_printed=False,
-        terms=(("(1/(2 log 2)) sqrt(q) log q", main), ("3 sqrt(q)", second)),
-    )
-
-
-def _bachman_rachakonda_bound(q: int, parity: str) -> BoundValue:
-    _require_q(q)
-    rq = math.sqrt(q)
-    main = (1.0 / (3.0 * math.log(3.0))) * rq * math.log(q)
-    second = 6.5 * rq
-    return BoundValue(
-        name="bachman_rachakonda",
-        q=q,
-        parity=parity,
-        quantity="S",
-        value=main + second,
-        main_term=main,
-        second_term=second,
-        psi_term=0.0,
-        as_printed=False,
-        terms=(("(1/(3 log 3)) sqrt(q) log q", main), ("6.5 sqrt(q)", second)),
-    )
-
-
-_REGISTRY = {
-    "theorem1": theorem1_bound,
-    "pomerance": pomerance_bound,
-    "qiu": _qiu_bound,
-    "simalarides": _simalarides_bound,
-    "dobrowolski_williams": _dobrowolski_williams_bound,
-    "bachman_rachakonda": _bachman_rachakonda_bound,
+    "simalarides": ("T", {
+        "even": (True, (
+            ("(3/4pi) sqrt(q) log q", "main",
+                lambda q, rq, lq: (3.0 / (4.0 * math.pi)) * rq * lq),
+            ("2 - log2/pi - gamma/2pi", "second", lambda q, rq, lq:
+                2.0 - math.log(2.0) / math.pi - EULER_GAMMA / (2.0 * math.pi)),
+        )),
+        "odd": (False, (
+            ("(1/pi) sqrt(q) log q", "main",
+                lambda q, rq, lq: (1.0 / math.pi) * rq * lq),
+            ("sqrt(q)", "second", lambda q, rq, lq: rq),
+            ("1/2", "psi", lambda q, rq, lq: 0.5),
+        )),
+    }),
+    "dobrowolski_williams": ("S", dict.fromkeys(("even", "odd"), (False, (
+        ("(1/(2 log 2)) sqrt(q) log q", "main",
+            lambda q, rq, lq: (1.0 / (2.0 * math.log(2.0))) * rq * lq),
+        ("3 sqrt(q)", "second", lambda q, rq, lq: 3.0 * rq),
+    )))),
+    "bachman_rachakonda": ("S", dict.fromkeys(("even", "odd"), (False, (
+        ("(1/(3 log 3)) sqrt(q) log q", "main",
+            lambda q, rq, lq: (1.0 / (3.0 * math.log(3.0))) * rq * lq),
+        ("6.5 sqrt(q)", "second", lambda q, rq, lq: 6.5 * rq),
+    )))),
 }
 
 
 def bound_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
+    return tuple(_CATALOG)
 
 
 def evaluate_bound(name: str, q: int, parity: str) -> BoundValue:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown bound {name!r}; known: {', '.join(_REGISTRY)}")
-    return _REGISTRY[name](q, parity)
+    """The named catalog bound at (q, parity); needs q >= 3 and parity
+    'even' or 'odd'."""
+    if name not in _CATALOG:
+        raise KeyError(f"unknown bound {name!r}; known: {', '.join(_CATALOG)}")
+    if q < 3:
+        raise ValueError(f"bound requires q >= 3, got {q}")
+    quantity, branches = _CATALOG[name]
+    if parity not in branches:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    as_printed, terms = branches[parity]
+    rq = math.sqrt(q)
+    lq = math.log(q)
+    value = main = second = psi = 0.0
+    evaluated = []
+    for label, role, term in terms:
+        v = term(q, rq, lq)
+        evaluated.append((label, v))
+        value += v
+        if role == "main":
+            main += v
+        elif role == "second":
+            second += v
+        else:
+            psi += v
+    return BoundValue(
+        name=name, q=q, parity=parity, quantity=quantity, value=value,
+        main_term=main, second_term=second, psi_term=psi,
+        as_printed=as_printed, terms=tuple(evaluated),
+    )
+
+
+def theorem1_bound(q: int, parity: str) -> BoundValue:
+    """The paper's sharpened explicit bound on S for primitive characters."""
+    return evaluate_bound("theorem1", q, parity)
+
+
+def pomerance_bound(q: int, parity: str) -> BoundValue:
+    """Pomerance's explicit bound on S (the baseline to improve on)."""
+    return evaluate_bound("pomerance", q, parity)
 
 
 def catalog_bounds(q: int, parity: str) -> list[BoundValue]:
-    """Every registered bound at (q, parity), each labeled by its quantity."""
-    return [evaluate_bound(name, q, parity) for name in _REGISTRY]
+    """Every cataloged bound at (q, parity), each labeled by its quantity."""
+    return [evaluate_bound(name, q, parity) for name in _CATALOG]
 
 
 # ---------------------------------------------------------------------------

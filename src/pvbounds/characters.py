@@ -436,7 +436,8 @@ def primitive_mask(q: int) -> np.ndarray:
 
 def character_from_label(q: int, label) -> DirichletCharacter:
     """Reconstruct a character from its generator-exponent label; the
-    entries are read with int(), so strings of integers are accepted."""
+    entries are read with int(), so strings of integers are accepted, but
+    a number that int() would truncate is rejected."""
     fam = _family(q)
     orders = fam.group.orders
     try:
@@ -444,7 +445,8 @@ def character_from_label(q: int, label) -> DirichletCharacter:
     except ValueError:
         exps = None
     if exps is None or len(exps) != len(orders) or any(
-        not 0 <= e < o for e, o in zip(exps, orders)
+        not 0 <= x < o or (x != e and not isinstance(e, str))
+        for x, e, o in zip(exps, label, orders)
     ):
         raise ValueError(f"label {','.join(map(str, label))} invalid mod {q}: "
                          f"need 0 <= e_j < o_j for component orders {list(orders)}")

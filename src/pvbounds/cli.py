@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import bounds, kernel, lemmas
@@ -130,17 +129,13 @@ def _cmd_lemmas(args) -> int:
     cfg2 = lemmas.default_lemma2_config(n_max=args.n_max, seed=args.seed)
     r1 = lemmas.lemma1_check(cfg1)
     r2 = lemmas.lemma2_check(cfg2)
-    b1 = (2.0 / math.pi) * (
-        math.log(r1.worst_n) + bounds.EULER_GAMMA + math.log(2.0) + 3.0 / r1.worst_n
-    )
-    b2 = math.log(r2.worst_n) + bounds.EULER_GAMMA + math.log(2.0) + 3.0 / r2.worst_n
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["lemma", "n", "params", "sum", "bound", "slack"])
     w.writerow(["sine_sum", r1.worst_n, repr(r1.worst_params[0]),
-                repr(b1 - r1.min_slack), repr(b1), repr(r1.min_slack)])
+                repr(r1.bound - r1.min_slack), repr(r1.bound), repr(r1.min_slack)])
     w.writerow(["cosine_diff_sum", r2.worst_n,
                 f"{r2.worst_params[0]!r};{r2.worst_params[1]!r}",
-                repr(b2 - r2.min_slack), repr(b2), repr(r2.min_slack)])
+                repr(r2.bound - r2.min_slack), repr(r2.bound), repr(r2.min_slack)])
     ok = r1.min_slack > 0 and r2.min_slack > 0
     print(
         f"# min slacks {r1.min_slack:.6f} ({r1.n_checked} checks), "

@@ -51,11 +51,13 @@ class LemmaSweepConfig:
 
 @dataclass(frozen=True)
 class LemmaSlackResult:
-    """Minimum slack over the sweep with the witnessing parameters."""
+    """Minimum slack over the sweep with the witnessing parameters;
+    bound is the inequality's right-hand side at worst_n."""
 
     min_slack: float
     worst_n: int
     worst_params: tuple[float, ...]
+    bound: float
     n_checked: int
     seed: int | None
     violations: tuple[tuple[float, ...], ...]
@@ -119,6 +121,7 @@ def lemma1_check(cfg: LemmaSweepConfig | None = None) -> LemmaSlackResult:
         min_slack=slack,
         worst_n=int(n_values[ni]),
         worst_params=(float(cfg.x_grid[xi]),),
+        bound=float(bounds_n[ni]),
         n_checked=len(cfg.x_grid) * len(cfg.n_values),
         seed=None,
         violations=violations,
@@ -150,6 +153,7 @@ def lemma2_check(cfg: LemmaSweepConfig | None = None) -> LemmaSlackResult:
         min_slack=slack,
         worst_n=int(n_values[ni]),
         worst_params=(float(pairs[pi_, 0]), float(pairs[pi_, 1])),
+        bound=float(bounds_n[ni]),
         n_checked=len(pairs) * len(cfg.n_values),
         seed=cfg.seed,
         violations=violations,

@@ -5,6 +5,7 @@ them live). The exhaustive desk-scale sweep is shared by the criteria that
 consume it; expect a few minutes of wall time for the whole module.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -215,6 +216,11 @@ def test_criterion_13_worker_determinism(tmp_path, monkeypatch):
     b1 = paths[0].read_bytes()
     b8 = paths[1].read_bytes()
     assert b1 == b8
+    # golden hash of the q 3..300 CSV; a deliberate change to the rows
+    # (e.g. the witness tie-break) updates it
+    assert hashlib.sha256(b1).hexdigest() == (
+        "b8209a9afa43c7db543857ca42594da669336eda2702e403203c238be6c7b4e3"
+    )
     print(
         f"\n[PASS] criterion 13: workers=1 and workers=8 sweeps are "
         f"byte-identical ({len(b1)} bytes, q in [3, 300])"

@@ -273,6 +273,13 @@ def test_catalog_entry_matches_printed_formula(name, parity):
 
 
 @pytest.mark.parametrize("name", bound_names())
+@pytest.mark.parametrize("parity", ["both", "Even", ""])
+def test_every_bound_rejects_bad_parity(name, parity):
+    with pytest.raises(ValueError):
+        evaluate_bound(name, 100, parity)
+
+
+@pytest.mark.parametrize("name", bound_names())
 @pytest.mark.parametrize("q", [3, 10, 1000, 10**6])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_breakdown_sums_to_value(name, q, parity):

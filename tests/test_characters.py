@@ -421,6 +421,13 @@ def test_character_from_label_rejects_bad_label():
         character_from_label(5, (7,))
 
 
+def test_character_from_label_rejects_non_integral_entry():
+    with pytest.raises(ValueError, match=r"component orders \[4\]"):
+        character_from_label(5, (2.5,))
+    for label in (("2",), (np.int64(2),), (2,)):
+        assert character_from_label(5, label).label == (2,)
+
+
 def test_characters_are_immutable():
     chi = enumerate_characters(5)[1]
     with pytest.raises(AttributeError):

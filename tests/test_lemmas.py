@@ -35,6 +35,7 @@ def test_lemma1_x_zero_slack_is_full_bound():
     res = lemma1_check(cfg)
     expected = min(lemma1_bound(n) for n in (1, 5, 50))
     assert abs(res.min_slack - expected) < 1e-12
+    assert res.bound == res.min_slack  # the sum is 0 at x = 0
 
 
 def test_lemma1_default_grid_positive():
@@ -44,6 +45,7 @@ def test_lemma1_default_grid_positive():
     # the reported witness reproduces the reported slack
     slack = lemma1_bound(res.worst_n) - sine_sum(res.worst_params[0], res.worst_n)
     assert abs(slack - res.min_slack) < 1e-12
+    assert abs(res.bound - lemma1_bound(res.worst_n)) < 1e-12
 
 
 def test_lemma1_stable_under_density_refinement():
@@ -62,6 +64,7 @@ def test_lemma2_alpha_equals_beta():
         math.log(n) + EULER_GAMMA + math.log(2) + 3.0 / n for n in (1, 10, 100)
     )
     assert abs(res.min_slack - expected) < 1e-12
+    assert res.bound == res.min_slack  # the sum is 0 when alpha = beta
 
 
 def test_lemma2_n1_constant():
