@@ -118,21 +118,22 @@ def _hulls(points):
 
 _N_PRUNE_DIRS = 16
 _PRUNE_ANGLES = np.pi * np.arange(_N_PRUNE_DIRS) / (_N_PRUNE_DIRS / 2.0)
-_PRUNE_MATRIX = np.stack([np.cos(_PRUNE_ANGLES), np.sin(_PRUNE_ANGLES)])
-_PRUNE_MATRIX.setflags(write=False)
+_PRUNE_DIRS = np.column_stack([np.cos(_PRUNE_ANGLES), np.sin(_PRUNE_ANGLES)])
+_PRUNE_DIRS.setflags(write=False)
 
 
 def _directional_prune(pts: np.ndarray) -> np.ndarray:
     """Drop points strictly inside the polygon of 16 directional extremes.
 
     Sound pre-filter: interior points of a convex polygon spanned by members
-    of the set cannot lie on the set's convex hull. Walking the directions
-    in angular order yields the corner polygon already ccw-ordered; both the
-    projections and the half-plane tests run as one matrix product each.
+    of the set cannot lie on the set's convex hull. Arrays are laid out
+    (directions or edges, points), so the two matrix products write, and the
+    argmax and all-edges reductions read, contiguous rows of n points; the
+    transposed layout makes those reductions strided, and at large q they
+    then cost most of the diameter's time.
     """
-    xy = np.column_stack([pts.real, pts.imag])
-    proj = xy @ _PRUNE_MATRIX
-    corners = np.unique(pts[np.argmax(proj, axis=0)])
+    xy = np.stack([pts.real, pts.imag])
+    corners = np.unique(pts[np.argmax(_PRUNE_DIRS @ xy, axis=1)])
     if len(corners) < 3:
         return pts
     # projection ties can scramble the direction order, so order explicitly
@@ -140,27 +141,18 @@ def _directional_prune(pts: np.ndarray) -> np.ndarray:
         np.arctan2(corners.imag - corners.imag.mean(), corners.real - corners.real.mean())
     )
     corners = corners[order]
-    cx = corners.real
-    cy = corners.imag
-    ex = np.empty_like(cx)
-    ey = np.empty_like(cy)
-    ex[:-1] = cx[1:] - cx[:-1]
-    ex[-1] = cx[0] - cx[-1]
-    ey[:-1] = cy[1:] - cy[:-1]
-    ey[-1] = cy[0] - cy[-1]
-    # cross((B-A), (p-A)) = (x, y) . (-ey, ex) + (cx ey - cy ex), per edge;
+    edges = np.concatenate([corners[1:], corners[:1]]) - corners
+    cx, cy, ex, ey = corners.real, corners.imag, edges.real, edges.imag
+    # cross((B-A), (p-A)) = (-ey, ex) . (x, y) + (cx ey - cy ex), per edge;
     # this rearrangement cancels catastrophically for points on an edge, so
     # "inside" must clear a per-edge rounding bound or hull points get lost
-    normals = np.stack([-ey, ex])
     offsets = cx * ey - cy * ex
-    cross = xy @ normals + offsets[None, :]
-    eps = np.finfo(np.float64).eps
-    tol = 32.0 * eps * (
-        np.abs(xy[:, 0]).max() * np.abs(ey)
-        + np.abs(xy[:, 1]).max() * np.abs(ex)
-        + np.abs(offsets)
+    cross = np.column_stack([-ey, ex]) @ xy
+    cross += offsets[:, None]
+    tol = 32.0 * np.finfo(np.float64).eps * (
+        np.abs(xy[0]).max() * np.abs(ey) + np.abs(xy[1]).max() * np.abs(ex) + np.abs(offsets)
     )
-    inside = np.all(cross > tol[None, :], axis=1)
+    inside = np.logical_and.reduce(cross > tol[:, None], axis=0)
     return pts[~inside]
 
 

@@ -64,12 +64,16 @@ def _cmd_bounds(args) -> int:
     parities = ("even", "odd") if args.parity == "both" else (args.parity,)
     cols = ["q", "parity", "bound_name", "quantity", "value", "main_term",
             "second_term", "psi_term", "as_printed"]
-    rows = [
-        [bv.q, bv.parity, bv.name, bv.quantity, bv.value, bv.main_term,
-         bv.second_term, bv.psi_term, bv.as_printed]
-        for parity in parities
-        for bv in bounds.catalog_bounds(args.q, parity)
-    ]
+    try:
+        rows = [
+            [bv.q, bv.parity, bv.name, bv.quantity, bv.value, bv.main_term,
+             bv.second_term, bv.psi_term, bv.as_printed]
+            for parity in parities
+            for bv in bounds.catalog_bounds(args.q, parity)
+        ]
+    except ValueError as exc:  # q below the catalog's range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         json.dump([dict(zip(cols, row)) for row in rows], sys.stdout, indent=1)
         sys.stdout.write("\n")
@@ -173,7 +177,8 @@ def _cmd_verify_all(args) -> int:
         line = f"[{status}] {suite.name}: {suite.detail}"
         if suite.error:
             line += f" ({suite.error})"
-        print(line)
+        print(f"{line} [{suite.elapsed_s:.2f} s]")
+    print(f"total {sum(s.elapsed_s for s in outcome.suites):.2f} s")
     return 0 if outcome.passed else 1
 
 

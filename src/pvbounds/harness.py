@@ -424,6 +424,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float
     error: str | None = None
 
 
@@ -446,13 +447,13 @@ ALL_SUITES = (
 
 
 def _run_suite(name: str, fn) -> SuiteResult:
+    t0 = time.perf_counter()
+    error = None
     try:
         passed, detail = fn()
-        return SuiteResult(name=name, passed=passed, detail=detail)
     except Exception as exc:  # first failure keeps full context
-        return SuiteResult(
-            name=name, passed=False, detail="raised", error=f"{type(exc).__name__}: {exc}"
-        )
+        passed, detail, error = False, "raised", f"{type(exc).__name__}: {exc}"
+    return SuiteResult(name, passed, detail, time.perf_counter() - t0, error)
 
 
 def verify_all(

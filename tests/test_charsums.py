@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from pvbounds import charsums
 from pvbounds.characters import character_from_label, enumerate_characters, unit_group
 from pvbounds.charsums import (
     PrefixWalk,
+    _directional_prune,
+    _hulls,
     brute_force_s,
     char_sum_result,
     max_initial_sum,
@@ -175,6 +178,69 @@ def test_witness_lexicographic_tiebreak():
     s, wit = max_interval_sum(PrefixWalk(0, pts.copy()))
     assert s == 1.0
     assert wit == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the directional prune keeps every hull vertex
+
+
+def seeded_primitive_walks(q, count):
+    """Walks of count seeded primitive characters mod q, drawn by label."""
+    rng = np.random.default_rng(q)
+    orders = unit_group(q).orders
+    walks = []
+    while len(walks) < count:
+        chi = character_from_label(q, [int(rng.integers(o)) for o in orders])
+        if chi.is_primitive and chi.order > 2:
+            walks.append(prefix_walk(chi))
+    return walks
+
+
+def unpruned_hull_vertices(pts):
+    uniq = np.unique(pts)
+    upper, lower = _hulls(list(zip(uniq.real.tolist(), uniq.imag.tolist())))
+    return {complex(*p) for p in upper + lower}
+
+
+def assert_prune_sound(pts, monkeypatch):
+    """Survivors hold every unpruned hull vertex, and the pruned diameter
+    path gives the unpruned one's S and witness bit for bit."""
+    survivors = set(_directional_prune(pts).tolist())
+    assert unpruned_hull_vertices(pts) <= survivors
+    pruned = max_interval_sum(PrefixWalk(0, pts.copy()))
+    with monkeypatch.context() as m:
+        m.setattr(charsums, "_directional_prune", lambda p: p)
+        assert max_interval_sum(PrefixWalk(0, pts.copy())) == pruned
+
+
+@pytest.mark.parametrize("q", [10007, 27091, 2**3 * 3**2 * 5 * 7 * 11])
+def test_prune_sound_on_large_q_walks(q, monkeypatch):
+    for walk in seeded_primitive_walks(q, 3):
+        assert_prune_sound(walk.points, monkeypatch)
+
+
+def polygon_edge_points(vertices, per_edge):
+    """Points spaced along every edge of the closed polygon, vertices included."""
+    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
+    return np.concatenate(
+        [a + t * (b - a) for a, b in zip(vertices, np.roll(vertices, -1))]
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        # corners on the 16 prune directions: edge points sit on corner-polygon edges
+        37.5 - 12.25j + 1e3 * np.exp(1j * np.pi * np.arange(16) / 8),
+        -3.0 + 5.0j + 250.0 * np.array([0, 1, 1 + 1j, 1j]),
+    ],
+    ids=["16-gon", "square"],
+)
+def test_prune_sound_on_points_along_corner_edges(vertices, monkeypatch):
+    pts = polygon_edge_points(vertices, 97)
+    assert len(pts) > 32
+    assert_prune_sound(pts, monkeypatch)
+    assert_prune_sound(np.random.default_rng(5).permutation(pts), monkeypatch)
 
 
 def test_brute_force_cap():

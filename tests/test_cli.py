@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -117,13 +118,27 @@ def test_char_info_bad_label_one_line_error(capsys, label):
     assert "[2, 20, 6, 10, 12]" in err
 
 
+@pytest.mark.parametrize("q", ["2", "-5"])
+def test_bounds_below_range_one_line_error(capsys, q):
+    code, out, err = run_cli(capsys, "bounds", "--q", q)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "q >= 3" in err
+
+
 def test_verify_all_cmd_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify-all", "--q-min", "3", "--q-max", "30"
     )
     assert code == 0
+    lines = out.splitlines()
     assert out.count("[PASS]") == 7
     assert "[FAIL]" not in out
+    times = [float(re.search(r"\[(\d+\.\d\d) s\]$", line).group(1)) for line in lines[:7]]
+    total = re.fullmatch(r"total (\d+\.\d\d) s", lines[7])
+    assert len(lines) == 8 and total
+    assert abs(float(total.group(1)) - sum(times)) <= 0.01 * len(times)
 
 
 def test_sweep_violation_exits_nonzero(capsys, monkeypatch):

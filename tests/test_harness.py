@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from pvbounds import bounds, harness
+from pvbounds import bounds, harness, kernel
 from pvbounds.characters import conductor, enumerate_characters
 from pvbounds.charsums import char_sum_result
 from pvbounds.harness import (
@@ -281,6 +281,19 @@ def test_verify_all_small_passes():
         "constant_derivation", "crossover",
     ]
     assert all(s.passed for s in outcome.suites)
+    assert all(s.elapsed_s > 0.0 for s in outcome.suites)
+
+
+def test_verify_all_raising_suite_keeps_error_and_time(monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(kernel, "constant_derivation", boom)
+    outcome = verify_all(suites=("constant_derivation",))
+    (suite,) = outcome.suites
+    assert not outcome.passed
+    assert (suite.passed, suite.detail, suite.error) == (False, "raised", "RuntimeError: boom")
+    assert suite.elapsed_s >= 0.0
 
 
 def test_verify_all_empty_selection_warns():
