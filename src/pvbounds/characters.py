@@ -511,11 +511,11 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSum:
 
 
 def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray:
-    """|conj(chi(m)) tau - S(m)| for every integer m in ms.
+    """Oracle: |conj(chi(m)) tau - S(m)| for every integer m in ms.
 
     S(m) = sum_a chi(a) cos(2 pi a m / q) for even chi and i times the sine
-    sum for odd chi, summed directly so it stays independent of tau. The
-    identity holds for primitive chi.
+    sum for odd chi, summed directly: independent of tau and of the inverse
+    FFT in harness.twist_check_range. The identity holds for primitive chi.
     """
     q = chi.modulus
     ms = np.asarray(ms, dtype=np.int64) % q

@@ -27,7 +27,6 @@ from .characters import (
     gauss_sum_table,
     gauss_sums,
     primitive_mask,
-    twist_discrepancies,
     unit_group,
 )
 from .charsums import char_sum_result
@@ -49,6 +48,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 DEFAULT_BOUNDS = ("theorem1", "pomerance")
+_TWIST_BLOCK = 256  # primitive characters per inverse FFT in the twist check
 
 
 def resolve_workers(requested: int) -> int:
@@ -382,10 +382,18 @@ def _gauss_worker(q: int) -> tuple[int, float]:
 
 def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
     """Worst relative deviation of |tau(chi)| from sqrt(q), all primitive chi."""
+    if not 1 <= q_min <= q_max:
+        raise ValueError(f"need 1 <= q_min <= q_max, got [{q_min}, {q_max}]")
     results = list(
         _ordered_map(_gauss_worker, range(q_min, q_max + 1), resolve_workers(workers))
     )
     return sum(c for c, _ in results), max((w for _, w in results), default=0.0)
+
+
+def _twist_draws(seed: int, q: int, idx: int, m_per_char: int) -> np.ndarray:
+    """The twists m of the character in row idx of enumerate_characters(q)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
+    return rng.integers(0, 10 * q, size=m_per_char)
 
 
 def _twist_worker(args) -> tuple[int, float]:
@@ -397,10 +405,14 @@ def _twist_worker(args) -> tuple[int, float]:
     ]
     taus = gauss_sums([chi for _, chi in prim])
     worst = 0.0
-    for (idx, chi), tau in zip(prim, taus):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
-        ms = rng.integers(0, 10 * q, size=m_per_char)
-        errs = twist_discrepancies(chi, ms, tau)
+    for start in range(0, len(prim), _TWIST_BLOCK):
+        block = prim[start : start + _TWIST_BLOCK]
+        vals = np.stack([chi.values() for _, chi in block])
+        sums = np.fft.ifft(vals, axis=1) * q  # row i, column m: sum_a chi_i(a) e(am/q)
+        ms = np.stack([_twist_draws(seed, q, idx, m_per_char) for idx, _ in block]) % q
+        rows = np.arange(len(block))[:, None]
+        tau = taus[start : start + _TWIST_BLOCK, None]
+        errs = np.abs(np.conj(vals[rows, ms]) * tau - sums[rows, ms])
         worst = max(worst, float(errs.max()) / math.sqrt(q))
     return m_per_char * len(prim), worst
 
@@ -410,6 +422,9 @@ def twist_check_range(
     workers: int = 1,
 ):
     """Worst sqrt(q)-relative twisted-sum discrepancy over random twists."""
+    if not (1 <= q_min <= q_max and m_per_char >= 1):
+        raise ValueError(f"need 1 <= q_min <= q_max and m_per_char >= 1, "
+                         f"got [{q_min}, {q_max}] and {m_per_char}")
     args = [(q, m_per_char, seed) for q in range(q_min, q_max + 1)]
     results = list(_ordered_map(_twist_worker, args, resolve_workers(workers)))
     return sum(c for c, _ in results), max((w for _, w in results), default=0.0)

@@ -12,7 +12,12 @@ import pytest
 import sympy
 
 from pvbounds import bounds, harness, kernel
-from pvbounds.characters import conductor, enumerate_characters
+from pvbounds.characters import (
+    conductor,
+    enumerate_characters,
+    gauss_sums,
+    roots_of_unity,
+)
 from pvbounds.charsums import char_sum_result
 from pvbounds.harness import (
     SweepConfig,
@@ -239,17 +244,78 @@ def test_twist_worker_draws_by_full_enumeration_row(monkeypatch):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
                 want.append((q, chi.label, rng.integers(0, 10 * q, size=m_per_char).tolist()))
     got = []
-    real = harness.twist_discrepancies
+    real = harness._twist_draws
 
-    def recording(chi, ms, tau):
-        got.append((chi.modulus, chi.label, [int(m) for m in ms]))
-        return real(chi, ms, tau)
+    def recording(seed, q, idx, m_per_char):
+        ms = real(seed, q, idx, m_per_char)
+        got.append((q, enumerate_characters(q)[idx].label, [int(m) for m in ms]))
+        return ms
 
-    monkeypatch.setattr(harness, "twist_discrepancies", recording)
+    monkeypatch.setattr(harness, "_twist_draws", recording)
     count, worst = twist_check_range(3, 40, m_per_char=m_per_char, seed=seed)
     assert got == want
     assert count == m_per_char * len(want)
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("q", range(1, 61))
+def test_twisted_sums_by_inverse_fft_at_every_m(q, monkeypatch):
+    """q * ifft of a primitive value table is S(m) = sum_a chi(a) e(am/q) at
+    m = 0..q-1: it equals conj(chi(m)) tau(chi) and the direct cos/sin sum
+    of twist_discrepancies; the twist worker checks every m when its draws
+    are all residues mod q."""
+    chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
+    taus = gauss_sums(chars)
+    m = np.arange(q)
+    roots = roots_of_unity(q)
+    for chi, tau in zip(chars, taus):
+        vals = chi.values()
+        fft_sums = q * np.fft.ifft(vals)
+        phases = roots[(chi.unit_residues[:, None] * m[None, :]) % q]
+        unit_vals = vals[chi.unit_residues]
+        direct = (
+            unit_vals @ phases.real if chi.parity == "even"
+            else 1j * (unit_vals @ phases.imag)
+        )
+        assert np.abs(fft_sums - np.conj(vals) * tau).max() < 1e-8 * math.sqrt(q)
+        assert np.abs(fft_sums - direct).max() < 1e-12 * math.sqrt(q)
+    monkeypatch.setattr(harness, "_twist_draws", lambda seed, q, idx, n: np.arange(q))
+    count, worst = harness._twist_worker((q, q, 0))
+    assert count == q * len(chars)
+    assert worst < 1e-8
+
+
+@pytest.mark.parametrize("pos", [0, 254, 255, 256, 496])
+def test_twist_worker_sees_every_character(pos, monkeypatch):
+    """A wrong tau for any one primitive character mod 499 (two blocks of
+    value tables: 256 and 241 characters) shows in the worst discrepancy."""
+    real = harness.gauss_sums
+
+    def one_wrong(chars):
+        taus = real(chars).copy()
+        taus[pos] += math.sqrt(499)
+        return taus
+
+    monkeypatch.setattr(harness, "gauss_sums", one_wrong)
+    count, worst = harness._twist_worker((499, 50, 11))
+    assert count == 50 * 497
+    assert worst > 0.5
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (gauss_check_range, (10, 5), r"need 1 <= q_min <= q_max, got \[10, 5\]"),
+        (gauss_check_range, (0, 5), r"got \[0, 5\]"),
+        (twist_check_range, (10, 5), r"got \[10, 5\] and 50"),
+        (twist_check_range, (-2, 5), r"got \[-2, 5\] and 50"),
+        (twist_check_range, (3, 10, 0), r"and m_per_char >= 1, got \[3, 10\] and 0"),
+    ],
+    ids=["gauss-reversed", "gauss-zero", "twist-reversed", "twist-negative", "twist-no-draws"],
+)
+def test_identity_checks_reject_empty_input(check, args, message):
+    with pytest.raises(ValueError, match=message):
+        check(*args)
 
 
 def test_gauss_check_past_odd_crossover_in_bounded_memory():
