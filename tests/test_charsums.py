@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from pvbounds import charsums
-from pvbounds.characters import character_from_label, enumerate_characters, unit_group
+from pvbounds.characters import (
+    character_from_label,
+    enumerate_characters,
+    primitive_characters,
+    unit_group,
+)
 from pvbounds.charsums import (
     PrefixWalk,
+    _blocks,
     _directional_prune,
     _hulls,
     brute_force_s,
@@ -14,10 +20,15 @@ from pvbounds.charsums import (
     max_initial_sum,
     max_interval_sum,
     prefix_walk,
-    resum_interval,
 )
 
 RNG = np.random.default_rng(20260808)
+
+
+def resum_interval(chi, m: int, n: int) -> complex:
+    """Oracle: sum_{k=M}^{N} chi(k) by a fresh Python summation."""
+    vals = chi.values()
+    return complex(sum(vals[k % chi.modulus] for k in range(m, n + 1)))
 
 
 def pairwise_diameter(pts: np.ndarray) -> float:
@@ -46,7 +57,7 @@ def test_walk_principal_mod2():
     assert np.array_equal(w.points, np.array([0, 1, 1], dtype=complex))
 
 
-@pytest.mark.parametrize("q", range(2, 60))
+@pytest.mark.parametrize("q", range(2, 201))
 def test_walk_shape_and_orthogonality(q):
     for chi in enumerate_characters(q):
         w = prefix_walk(chi)
@@ -57,6 +68,34 @@ def test_walk_shape_and_orthogonality(q):
         assert np.all((steps < 1e-12) | (np.abs(steps - 1.0) < 1e-12))
         if not chi.is_principal:
             assert abs(w.points[q]) < 1e-9
+        assert_walk_contract(chi)
+
+
+def one_shot_walk(chi):
+    """Oracle: the walk from a single 80-bit cumsum over the value table."""
+    q = chi.modulus
+    pts = np.empty(q + 1, dtype=np.complex128)
+    pts[:q] = np.cumsum(chi.values().astype(np.clongdouble)).astype(np.complex128)
+    pts[q] = pts[q - 1]
+    return pts
+
+
+def assert_walk_contract(chi):
+    w = prefix_walk(chi)
+    assert w.unit_steps
+    assert w.points.tobytes() == one_shot_walk(chi).tobytes()
+    # the step bound the block radius rests on
+    steps = np.abs(np.diff(w.points))
+    assert steps.max(initial=0.0) <= 1.0 + charsums._STEP_SLACK * len(w.points)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, charsums._WALK_CHUNK + 1])
+def test_walk_equals_one_shot_cumsum_across_chunks(offset):
+    q = charsums._WALK_CHUNK + offset
+    rng = np.random.default_rng(q)
+    orders = unit_group(q).orders
+    for _ in range(3):
+        assert_walk_contract(character_from_label(q, [int(rng.integers(o)) for o in orders]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +247,10 @@ def assert_prune_sound(pts, monkeypatch):
     survivors = set(_directional_prune(pts).tolist())
     assert unpruned_hull_vertices(pts) <= survivors
     pruned = max_interval_sum(PrefixWalk(0, pts.copy()))
+    mags = np.abs(pts)
+    assert max_initial_sum(PrefixWalk(0, pts.copy())) == (mags.max(), int(np.argmax(mags)))
     with monkeypatch.context() as m:
-        m.setattr(charsums, "_directional_prune", lambda p: p)
+        m.setattr(charsums, "_directional_prune", lambda p, blocks=None: p)
         assert max_interval_sum(PrefixWalk(0, pts.copy())) == pruned
 
 
@@ -241,6 +282,109 @@ def test_prune_sound_on_points_along_corner_edges(vertices, monkeypatch):
     assert len(pts) > 32
     assert_prune_sound(pts, monkeypatch)
     assert_prune_sound(np.random.default_rng(5).permutation(pts), monkeypatch)
+    # past the block gate a bare PrefixWalk still takes the full scan: its
+    # shuffled points are no unit-step walk, so blocks would lose hull points
+    gate = charsums._BLOCK_GATE * charsums._BLOCK
+    big = polygon_edge_points(vertices, gate // len(vertices) + 1)
+    assert len(big) > gate and _blocks(PrefixWalk(0, big.copy())) is None
+    assert_prune_sound(np.random.default_rng(6).permutation(big), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the block level gives the full scan's survivors, S, witness and T
+
+
+def block_level_outputs(walk):
+    pts = walk.points
+    survivors = _directional_prune(pts, _blocks(walk)) if pts.imag.any() else None
+    return survivors, max_interval_sum(walk), max_initial_sum(walk)
+
+
+def assert_block_level_matches_full_scan(walks, monkeypatch, gate=0):
+    with monkeypatch.context() as m:
+        m.setattr(charsums, "_BLOCK_GATE", 10**18)
+        full = [block_level_outputs(w) for w in walks]
+    with monkeypatch.context() as m:
+        m.setattr(charsums, "_BLOCK_GATE", gate)
+        assert all(_blocks(w) is not None for w in walks)
+        blocked = [block_level_outputs(w) for w in walks]
+    for w, (sv_f, s_f, t_f), (sv_b, s_b, t_b) in zip(walks, full, blocked):
+        assert s_b == s_f and t_b == t_f, w.modulus
+        if sv_f is None:
+            assert sv_b is None
+        else:  # same points in the same order, bit for bit
+            assert sv_b.tobytes() == sv_f.tobytes(), w.modulus
+
+
+@pytest.mark.parametrize("q", range(3, 301))
+def test_block_level_matches_full_scan_small_q(q, monkeypatch):
+    walks = [prefix_walk(chi) for chi in primitive_characters(q) if chi.order > 2]
+    assert_block_level_matches_full_scan(walks, monkeypatch)
+
+
+@pytest.mark.parametrize("q", [27091, 27720, 100003, 100100])
+def test_block_level_matches_full_scan_large_q(q, monkeypatch):
+    walks = seeded_primitive_walks(q, 3)
+    assert all(_blocks(w) is not None for w in walks)  # the gate is on here
+    assert_block_level_matches_full_scan(walks, monkeypatch, gate=charsums._BLOCK_GATE)
+
+
+def lattice_walk(waypoints, n):
+    """n points from 0 that wait, then reach each (index, point) waypoint by
+    unit steps along x, then y: a unit-step walk with exact points."""
+    pts = np.zeros(n, dtype=complex)
+    k, p = 0, 0j
+    for k1, p1 in waypoints + [(n - 1, None)]:
+        p1 = p if p1 is None else p1
+        dx, dy = int(p1.real - p.real), int(p1.imag - p.imag)
+        steps = [np.sign(dx)] * abs(dx) + [1j * np.sign(dy)] * abs(dy)
+        assert len(steps) <= k1 - k
+        pts[k + 1 : k1 + 1] = p + np.cumsum([0] * (k1 - k - len(steps)) + steps)
+        k, p = k1, p1
+    return pts
+
+
+@pytest.mark.parametrize(
+    "waypoints, t_index",
+    [
+        # T first reached at 16, 8 steps before the centre 24 at 8 = T - 8;
+        # the later centre 40 reaches T exactly
+        ([(16, 16), (24, 8), (40, 16), (63, 0)], 16),
+        # max x first at 32, 8 steps before the centre 40 at x = 12; the
+        # centre 88 reaches x = 20 far off the axis, and every other
+        # direction's best centre lies more than 8 beyond the centre 40
+        (
+            [(32, 20), (40, 12), (70, 12 + 30j), (88, 20 + 30j), (168, 10 - 30j),
+             (224, -40 - 30j), (296, -40 + 40j), (380, 0)],
+            296,
+        ),
+        # the corner (20, 0) at 32 lies on the edges x = 20, 8 steps from
+        # the centre 40, whose disc therefore touches the corner polygon
+        (
+            [(32, 20), (40, 12), (70, 12 + 30j), (78, 20 + 30j), (140, 20 - 30j),
+             (204, -40 - 30j), (280, -40 + 40j), (364, 0)],
+            280,
+        ),
+    ],
+    ids=["t-at-radius", "corner-at-radius", "edge-at-radius"],
+)
+def test_block_level_exact_at_the_radius(waypoints, t_index, monkeypatch):
+    # with the step slack at 0 the radius is exactly 8, and these extremes
+    # lie exactly 8 from their block centres: the disc tests are inclusive
+    walk = PrefixWalk(0, lattice_walk(waypoints, 392), unit_steps=True)
+    monkeypatch.setattr(charsums, "_STEP_SLACK", 0.0)
+    assert_block_level_matches_full_scan([walk], monkeypatch)
+    assert max_initial_sum(walk)[1] == t_index
+
+
+@pytest.mark.parametrize("q", range(5, 401))
+def test_block_level_exact_on_lattice_walks(q, monkeypatch):
+    # walks of characters of order <= 4 are exact Gaussian-integer lattice
+    # walks, so with the step slack at 0 the radius 8 is tight: extremes at
+    # distance exactly 8 from a block centre must still be found
+    walks = [prefix_walk(chi) for chi in enumerate_characters(q) if chi.order in (2, 4)]
+    monkeypatch.setattr(charsums, "_STEP_SLACK", 0.0)
+    assert_block_level_matches_full_scan(walks, monkeypatch)
 
 
 def test_brute_force_cap():
