@@ -3,18 +3,14 @@ bounds, and the numeric verification harness tying them together."""
 
 from .characters import (
     DirichletCharacter,
-    GaussSum,
     UnitGroupStructure,
     character_from_label,
     conductor,
-    delta_q_check,
     enumerate_characters,
     gauss_sum,
-    twist_identity_check,
     unit_group,
 )
 from .charsums import (
-    CharSumResult,
     PrefixWalk,
     brute_force_s,
     char_sum_result,
@@ -29,7 +25,6 @@ from .bounds import (
     catalog_bounds,
     crossover,
     evaluate_bound,
-    margin_report,
     pomerance_bound,
     theorem1_bound,
 )

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "EULER_GAMMA",
     "BoundValue",
-    "MarginRow",
     "c0",
     "theorem1_bound",
     "pomerance_bound",
@@ -30,7 +29,6 @@ __all__ = [
     "bound_names",
     "crossover",
     "CrossoverNotFound",
-    "margin_report",
 ]
 
 # Euler-Mascheroni constant, 30 significant digits (stored, not computed).
@@ -266,54 +264,3 @@ def crossover(parity: str, limit: int = 10_000_000) -> int:
         start = bad + 1
         if start > limit:
             raise CrossoverNotFound(f"no {parity} crossover below {limit}")
-
-
-# ---------------------------------------------------------------------------
-# Margins against exact sums.
-
-
-@dataclass(frozen=True)
-class MarginRow:
-    """bound - exact for one (character, bound) pair; negative == violation."""
-
-    q: int
-    label: tuple[int, ...]
-    parity: str
-    bound_name: str
-    quantity: str
-    bound_value: float
-    exact_value: float
-    margin: float
-    ratio: float
-    violation: bool
-
-
-def margin_report(q, results, names: tuple[str, ...] = ("theorem1", "pomerance")):
-    """Margins of the named bounds over exact S (or T, per bound quantity).
-
-    Negative margins are flagged via MarginRow.violation, never dropped;
-    ratio records s_chi / (sqrt(q) log q) for trend reporting.
-    """
-    rows = []
-    denom = math.sqrt(q) * math.log(q) if q >= 2 else float("nan")
-    for res in results:
-        ratio = res.s_chi / denom
-        for name in names:
-            bv = evaluate_bound(name, q, res.parity)
-            exact = res.s_chi if bv.quantity == "S" else res.t_chi
-            margin = bv.value - exact
-            rows.append(
-                MarginRow(
-                    q=q,
-                    label=res.label,
-                    parity=res.parity,
-                    bound_name=name,
-                    quantity=bv.quantity,
-                    bound_value=bv.value,
-                    exact_value=exact,
-                    margin=margin,
-                    ratio=ratio,
-                    violation=margin < 0.0,
-                )
-            )
-    return rows

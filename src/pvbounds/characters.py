@@ -13,7 +13,7 @@ mod q come from one inverse DFT over the unit-group index grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "UnitGroupStructure",
     "DirichletCharacter",
-    "GaussSum",
     "unit_group",
     "enumerate_characters",
     "primitive_characters",
@@ -31,9 +30,7 @@ __all__ = [
     "gauss_sum",
     "gauss_sums",
     "gauss_sum_table",
-    "twist_identity_check",
     "twist_discrepancies",
-    "delta_q_check",
     "roots_of_unity",
 ]
 
@@ -311,64 +308,24 @@ def _family(q: int) -> _CharacterFamily:
 # Characters.
 
 
+@dataclass(frozen=True, slots=True)
 class DirichletCharacter:
     """A Dirichlet character mod q in exact exponent form.
 
     label is the exponent vector on the unit-group generators; the value at
-    the i-th enumerated unit is e(unit_exponents[i] / root_order). Instances
-    are immutable and safe to share across workers.
+    the i-th enumerated unit is e(unit_exponents[i] / root_order). Equality
+    and hash read only (modulus, label). Instances are immutable and safe to
+    share across workers.
     """
 
-    __slots__ = (
-        "modulus",
-        "label",
-        "conductor",
-        "parity",
-        "order",
-        "root_order",
-        "unit_residues",
-        "unit_exponents",
-    )
-
-    def __init__(
-        self,
-        modulus: int,
-        label: tuple[int, ...],
-        conductor: int,
-        parity: str,
-        order: int,
-        root_order: int,
-        unit_residues: np.ndarray,
-        unit_exponents: np.ndarray,
-    ):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "unit_residues", unit_residues)
-        object.__setattr__(self, "unit_exponents", unit_exponents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
-
-    def __repr__(self):
-        return (
-            f"DirichletCharacter(q={self.modulus}, label={self.label}, "
-            f"conductor={self.conductor}, parity={self.parity!r}, "
-            f"order={self.order})"
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletCharacter)
-            and self.modulus == other.modulus
-            and self.label == other.label
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.label))
+    modulus: int
+    label: tuple[int, ...]
+    conductor: int = field(compare=False)
+    parity: str = field(compare=False)
+    order: int = field(compare=False)
+    root_order: int = field(compare=False, repr=False)
+    unit_residues: np.ndarray = field(compare=False, repr=False)
+    unit_exponents: np.ndarray = field(compare=False, repr=False)
 
     @property
     def is_principal(self) -> bool:
@@ -471,14 +428,6 @@ def conductor(chi: DirichletCharacter) -> int:
 # Gauss sums and the classical twisted-sum identity.
 
 
-@dataclass(frozen=True)
-class GaussSum:
-    """tau(chi) with its modulus (sqrt(q) for primitive chi)."""
-
-    value: complex
-    magnitude: float
-
-
 def gauss_sum_table(q: int) -> np.ndarray:
     """tau(chi) = sum_a chi(a) e(a/q) for every character mod q, in label order.
 
@@ -501,13 +450,12 @@ def gauss_sums(chars) -> np.ndarray:
     return gauss_sum_table(q)[[np.ravel_multi_index(chi.label, orders) for chi in chars]]
 
 
-def gauss_sum(chi: DirichletCharacter) -> GaussSum:
+def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_a chi(a) e(a/q), read from gauss_sum_table.
 
     Each call transforms the whole unit group: for many characters of one
     modulus, take gauss_sum_table(q) once."""
-    tau = complex(gauss_sums([chi])[0])
-    return GaussSum(value=tau, magnitude=abs(tau))
+    return complex(gauss_sums([chi])[0])
 
 
 def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray:
@@ -515,8 +463,11 @@ def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray
 
     S(m) = sum_a chi(a) cos(2 pi a m / q) for even chi and i times the sine
     sum for odd chi, summed directly: independent of tau and of the inverse
-    FFT in harness.twist_check_range. The identity holds for primitive chi.
+    FFT in harness.twist_check_range. Raises for non-primitive chi, where
+    the identity can fail.
     """
+    if not chi.is_primitive:
+        raise ValueError("twist identity only holds for primitive characters")
     q = chi.modulus
     ms = np.asarray(ms, dtype=np.int64) % q
     vals = roots_of_unity(chi.root_order)[chi.unit_exponents]
@@ -527,24 +478,3 @@ def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray
     else:
         rhs = 1j * (vals @ phases.imag)
     return np.abs(lhs - rhs)
-
-
-def twist_identity_check(chi: DirichletCharacter, m: int) -> float:
-    """Discrepancy in the twisted Gauss-sum identity at the integer m.
-
-    For primitive even chi this is |conj(chi(m)) tau(chi) - S_cos| with
-    S_cos = sum_a chi(a) cos(2 pi a m / q); odd characters use the sine sum
-    times i. Raises for non-primitive chi, where the identity can fail.
-    """
-    if not chi.is_primitive:
-        raise ValueError("twist identity only holds for primitive characters")
-    return float(twist_discrepancies(chi, [m], gauss_sum(chi).value)[0])
-
-
-def delta_q_check(q: int, a: int) -> int:
-    """Round of (1/q) sum_{x=1}^{q} e(ax/q): 1 iff a = 0 mod q, else 0."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    x = np.arange(1, q + 1)
-    s = roots_of_unity(q)[(a * x) % q].sum() / q
-    return int(round(s.real))

@@ -16,7 +16,6 @@ from .characters import DirichletCharacter
 
 __all__ = [
     "PrefixWalk",
-    "CharSumResult",
     "prefix_walk",
     "max_interval_sum",
     "max_initial_sum",
@@ -24,7 +23,6 @@ __all__ = [
     "brute_force_s",
 ]
 
-PARITY_CONSISTENCY_TOL = 1e-9  # |S - 2T| budget for even primitive characters
 _EPS = float(np.finfo(np.float64).eps)
 _STEP_SLACK = 2.0 * _EPS  # a walk step is at most 1 + _STEP_SLACK * len: see _Blocks
 _WALK_CHUNK = 8192  # 80-bit terms per cumsum pass: 256 KiB, stays in L2
@@ -40,26 +38,6 @@ class PrefixWalk:
 
     def __post_init__(self):
         self.points.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CharSumResult:
-    """Exact S and T with witnesses for one character.
-
-    s_witness = (M, N) means |sum_{n=M}^{N} chi(n)| = s_chi; t_witness is
-    the smallest N maximizing |sum_{n<=N} chi(n)|. parity_consistent holds
-    the S = 2T check for even primitive characters and is None otherwise.
-    """
-
-    q: int
-    label: tuple[int, ...]
-    parity: str
-    conductor: int
-    s_chi: float
-    t_chi: float
-    s_witness: tuple[int, int]
-    t_witness: int
-    parity_consistent: bool | None
 
 
 def prefix_walk(chi: DirichletCharacter) -> PrefixWalk:
@@ -309,25 +287,11 @@ def max_interval_sum(walk: PrefixWalk) -> tuple[float, tuple[int, int]]:
 
 def char_sum_result(
     chi: DirichletCharacter, walk: PrefixWalk | None = None
-) -> CharSumResult:
-    """S and T with witnesses, plus the S = 2T check for even primitive chi."""
+) -> tuple[float, tuple[int, int], float, int]:
+    """(S, (M, N), T, k) of chi: max_interval_sum and max_initial_sum of
+    its prefix walk."""
     walk = walk if walk is not None else prefix_walk(chi)
-    s, s_witness = max_interval_sum(walk)
-    t, t_witness = max_initial_sum(walk)
-    consistent = None
-    if chi.parity == "even" and chi.is_primitive:
-        consistent = abs(s - 2.0 * t) < PARITY_CONSISTENCY_TOL
-    return CharSumResult(
-        q=chi.modulus,
-        label=chi.label,
-        parity=chi.parity,
-        conductor=chi.conductor,
-        s_chi=s,
-        t_chi=t,
-        s_witness=s_witness,
-        t_witness=t_witness,
-        parity_consistent=consistent,
-    )
+    return (*max_interval_sum(walk), *max_initial_sum(walk))
 
 
 def brute_force_s(chi: DirichletCharacter, cap: int = 2000) -> float:

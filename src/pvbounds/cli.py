@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import bounds, kernel, lemmas
@@ -27,18 +28,29 @@ def _add_sweep(sub):
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
 
+def _input_error(exc) -> int:
+    """Bad input: one error line and exit 2 (1 means a check failed)."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_sweep(args) -> int:
     parities = ("even", "odd") if args.parity == "both" else (args.parity,)
-    cfg = SweepConfig(
-        q_min=args.q_min,
-        q_max=args.q_max,
-        parities=parities,
-        bounds=tuple(args.bounds.split(",")),
-        workers=args.workers,
-        output_format=args.format,
-        output_path=args.out,
-        store_rows=args.out is None,
-    )
+    try:
+        cfg = SweepConfig(
+            q_min=args.q_min,
+            q_max=args.q_max,
+            parities=parities,
+            bounds=tuple(args.bounds.split(",")),
+            workers=args.workers,
+            output_format=args.format,
+            output_path=args.out,
+            store_rows=args.out is None,
+        )
+    except ValueError as exc:
+        return _input_error(exc)
+    if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        return _input_error(f"output directory of {args.out} does not exist")
     report = run_sweep(cfg)
     if args.out is None:
         if args.format == "csv":
@@ -72,8 +84,7 @@ def _cmd_bounds(args) -> int:
             for bv in bounds.catalog_bounds(args.q, parity)
         ]
     except ValueError as exc:  # q below the catalog's range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     if args.format == "json":
         json.dump([dict(zip(cols, row)) for row in rows], sys.stdout, indent=1)
         sys.stdout.write("\n")
@@ -154,8 +165,7 @@ def _cmd_char_info(args) -> int:
     try:
         chi = character_from_label(args.q, label)
     except ValueError as exc:  # not an integer, the wrong length or out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     info = chi.to_json_dict()
     info["primitive"] = chi.is_primitive
     info["principal"] = chi.is_principal
@@ -166,9 +176,12 @@ def _cmd_char_info(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    cfg = SweepConfig(
-        q_min=args.q_min, q_max=args.q_max, workers=args.workers, store_rows=False
-    )
+    try:
+        cfg = SweepConfig(
+            q_min=args.q_min, q_max=args.q_max, workers=args.workers, store_rows=False
+        )
+    except ValueError as exc:
+        return _input_error(exc)
     outcome = verify_all(sweep_cfg=cfg)
     if outcome.warning:
         print(f"WARNING: {outcome.warning}", file=sys.stderr)

@@ -176,18 +176,15 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
     denom = math.sqrt(q) * math.log(q)
     orders = unit_group(q).orders
     bound_cache: dict[str, list[bounds.BoundValue]] = {}  # by parity
-    computed: dict[tuple[int, ...], tuple[float, float, tuple[int, int]]] = {}
+    computed: dict[tuple[int, ...], tuple] = {}  # char_sum_result by label
     for chi in enumerate_characters(q):
         if not chi.is_primitive or chi.parity not in parities:
             continue
         conj_label = tuple((-e) % o for e, o in zip(chi.label, orders))
-        cached = computed.get(conj_label)
-        if cached is not None:
-            s_chi, t_chi, s_witness = cached
-        else:
-            res = char_sum_result(chi)
-            s_chi, t_chi, s_witness = res.s_chi, res.t_chi, res.s_witness
-            computed[chi.label] = (s_chi, t_chi, s_witness)
+        sums = computed.get(conj_label)
+        if sums is None:
+            sums = computed[chi.label] = char_sum_result(chi)
+        s_chi, (m_witness, n_witness), t_chi, _ = sums
         bvs = bound_cache.get(chi.parity)
         if bvs is None:
             bvs = [bounds.evaluate_bound(name, q, chi.parity) for name in bound_names]
@@ -200,8 +197,8 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
                 conductor=chi.conductor,
                 s_chi=s_chi,
                 t_chi=t_chi,
-                m_witness=s_witness[0],
-                n_witness=s_witness[1],
+                m_witness=m_witness,
+                n_witness=n_witness,
                 ratio=s_chi / denom,
                 bound_values=tuple(bv.value for bv in bvs),
                 margins=tuple(
@@ -282,24 +279,22 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
     max_s2t = 0.0
     kept_rows: list[SweepRow] = []
 
-    sink = None
-    tmp_path = None
-    csv_writer = None
-    if cfg.output_path:
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(cfg.output_path)), suffix=".tmp"
-        )
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
-        sink = os.fdopen(fd, "w", newline="")
-        if cfg.output_format == "csv":
-            csv_writer = csv.writer(sink, lineterminator="\n")
-            csv_writer.writerow(_csv_header(cfg.bounds))
-        else:  # rows stream into the list; the summary follows them
-            sink.write(f'{{"schema": {SCHEMA_VERSION}, "rows": [')
+    sink = tmp_path = csv_writer = None
+    try:  # any failure before the final rename removes the temp file
+        if cfg.output_path:
+            fd, tmp_path = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(cfg.output_path)), suffix=".tmp"
+            )
+            sink = os.fdopen(fd, "w", newline="")
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
+            if cfg.output_format == "csv":
+                csv_writer = csv.writer(sink, lineterminator="\n")
+                csv_writer.writerow(_csv_header(cfg.bounds))
+            else:  # rows stream into the list; the summary follows them
+                sink.write(f'{{"schema": {SCHEMA_VERSION}, "rows": [')
 
-    try:
         args = ((q, cfg.parities, cfg.bounds) for q in range(cfg.q_min, cfg.q_max + 1))
         for batch in _ordered_map(_sweep_worker, args, workers):
             for row in batch:
@@ -329,41 +324,42 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
                     sink.write(json.dumps(_json_record(row, cfg.bounds)))
                 if cfg.store_rows:
                     kept_rows.append(row)
+
+        summary = {
+            "schema": SCHEMA_VERSION,
+            "q_min": cfg.q_min,
+            "q_max": cfg.q_max,
+            "parities": list(cfg.parities),
+            "bounds": list(cfg.bounds),
+            "workers": workers,
+            "characters_checked": n_rows,
+            "violations": len(violation_rows),
+            "violation_rows": violation_rows,
+            "max_ratio": None if max_ratio[1] is None else max_ratio[0],
+            "max_ratio_at": max_ratio[1],
+            "worst_margin": {
+                name: {"margin": wm[0], "at": wm[1]}
+                for name, wm in worst_margin.items()
+                if wm[1] is not None
+            },
+            "max_s2t_deviation_even": max_s2t,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        if sink is not None:
+            if csv_writer is None:
+                sink.write('\n],\n"summary": ')
+                json.dump(summary, sink, indent=1)
+                sink.write("}\n")
+            sink.close()
+            os.replace(tmp_path, cfg.output_path)
     except BaseException:
+        if tmp_path is not None:
+            os.unlink(tmp_path)  # first: closing can fail again, e.g. on a full disk
         if sink is not None:
             sink.close()
-            os.unlink(tmp_path)
         raise
 
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "q_min": cfg.q_min,
-        "q_max": cfg.q_max,
-        "parities": list(cfg.parities),
-        "bounds": list(cfg.bounds),
-        "workers": workers,
-        "characters_checked": n_rows,
-        "violations": len(violation_rows),
-        "violation_rows": violation_rows,
-        "max_ratio": None if max_ratio[1] is None else max_ratio[0],
-        "max_ratio_at": max_ratio[1],
-        "worst_margin": {
-            name: {"margin": wm[0], "at": wm[1]}
-            for name, wm in worst_margin.items()
-            if wm[1] is not None
-        },
-        "max_s2t_deviation_even": max_s2t,
-        "wall_time_s": time.perf_counter() - t0,
-    }
     report = SweepReport(config=cfg, summary=summary, rows=kept_rows)
-
-    if sink is not None:
-        if csv_writer is None:
-            sink.write('\n],\n"summary": ')
-            json.dump(summary, sink, indent=1)
-            sink.write("}\n")
-        sink.close()
-        os.replace(tmp_path, cfg.output_path)
 
     if raise_on_violation and violation_rows:
         raise SweepViolation(report)

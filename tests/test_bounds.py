@@ -15,13 +15,13 @@ from pvbounds.bounds import (
     catalog_bounds,
     crossover,
     evaluate_bound,
-    margin_report,
     pomerance_bound,
     psi1,
     psi2,
     theorem1_bound,
 )
-from pvbounds.charsums import CharSumResult
+from pvbounds import harness
+from pvbounds.harness import sweep_modulus
 
 mp.mp.dps = 50
 
@@ -313,13 +313,13 @@ def test_catalog_dominates_exact_sums_small_range():
         for chi in enumerate_characters(q):
             if not chi.is_primitive:
                 continue
-            res = char_sum_result(chi)
+            s, _, t, _ = char_sum_result(chi)
             for name in bound_names():
                 key = (name, chi.parity)
                 if key not in cache:
                     cache[key] = evaluate_bound(name, q, chi.parity)
                 bv = cache[key]
-                exact = res.s_chi if bv.quantity == "S" else res.t_chi
+                exact = s if bv.quantity == "S" else t
                 assert bv.value > exact, (q, chi.label, name)
 
 
@@ -357,47 +357,46 @@ def test_log_grid_negative_beyond_crossover(parity):
 
 
 # ---------------------------------------------------------------------------
-# margins
-
-
-def _result(q, label, parity, s, t):
-    return CharSumResult(
-        q=q, label=label, parity=parity, conductor=q, s_chi=s, t_chi=t,
-        s_witness=(1, 1), t_witness=1, parity_consistent=None,
-    )
+# margins: the sweep's rows (sweep_modulus) against hand-computed sums
 
 
 def test_margin_report_q5_even_quadratic():
-    rows = margin_report(5, [_result(5, (2,), "even", 2.0, 1.0)])
-    by_name = {r.bound_name: r for r in rows}
-    assert by_name["theorem1"].margin == theorem1_bound(5, "even").value - 2.0
-    assert by_name["theorem1"].margin > 0
-    assert not by_name["theorem1"].violation
-    assert abs(by_name["theorem1"].ratio - 2.0 / (math.sqrt(5) * math.log(5))) < 1e-15
+    # chi mod 5 of label (2,) takes 1, -1, -1, 1: S = 2 and T = 1 exactly
+    (row,) = sweep_modulus(5, ("even",), ("theorem1", "pomerance"))
+    assert row.label == (2,) and (row.s_chi, row.t_chi) == (2.0, 1.0)
+    assert row.margins[0] == theorem1_bound(5, "even").value - 2.0
+    assert row.margins[0] > 0
+    assert not row.violated()
+    assert abs(row.ratio - 2.0 / (math.sqrt(5) * math.log(5))) < 1e-15
 
 
 def test_margin_report_q3_odd_pomerance():
-    rows = margin_report(3, [_result(3, (1,), "odd", 1.0, 1.0)], names=("pomerance",))
+    (row,) = sweep_modulus(3, ("odd",), ("pomerance",))
+    assert (row.s_chi, row.t_chi) == (1.0, 1.0)
     expected = (
         math.sqrt(3) * math.log(3) / (2 * math.pi)
         + math.sqrt(3) * math.log(math.log(3)) / math.pi
         + math.sqrt(3)
         - 1.0
     )
-    assert abs(rows[0].margin - expected) < 1e-12
-    assert rows[0].margin > 0
+    assert abs(row.margins[0] - expected) < 1e-12
+    assert row.margins[0] > 0
 
 
 def test_margin_report_empty():
-    assert margin_report(7, []) == []
+    assert sweep_modulus(6, ("even", "odd"), ("theorem1",)) == []  # q = 2 mod 4
+    assert sweep_modulus(3, ("even",), ("theorem1",)) == []  # chi mod 3 is odd
 
 
-def test_margin_report_flags_negative():
-    rows = margin_report(5, [_result(5, (2,), "even", 1e9, 1.0)])
-    assert all(r.violation for r in rows if r.quantity == "S")
+def test_margin_report_flags_negative(monkeypatch):
+    monkeypatch.setattr(harness, "char_sum_result", lambda chi: (1e9, (1, 1), 1.0, 1))
+    rows = sweep_modulus(5, ("even", "odd"), ("theorem1", "pomerance"))
+    assert rows and all(r.violated() and max(r.margins) < 0 for r in rows)
 
 
 def test_margin_report_t_bounds_compare_against_t():
-    rows = margin_report(5, [_result(5, (2,), "even", 2.0, 1.0)], names=("simalarides",))
-    assert rows[0].quantity == "T"
-    assert rows[0].exact_value == 1.0
+    (row,) = sweep_modulus(5, ("even",), ("simalarides",))
+    bv = evaluate_bound("simalarides", 5, "even")
+    assert bv.quantity == "T"
+    assert row.t_chi == 1.0 != row.s_chi
+    assert row.margins[0] == bv.value - row.t_chi

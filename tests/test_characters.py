@@ -9,9 +9,9 @@ import pytest
 import sympy
 
 from pvbounds.characters import (
+    DirichletCharacter,
     character_from_label,
     conductor,
-    delta_q_check,
     divisors,
     enumerate_characters,
     euler_phi,
@@ -22,7 +22,6 @@ from pvbounds.characters import (
     primitive_mask,
     roots_of_unity,
     twist_discrepancies,
-    twist_identity_check,
     unit_group,
 )
 
@@ -297,21 +296,20 @@ def test_primitive_census(q):
 def test_gauss_quadratic_mod5_is_sqrt5():
     chi = [c for c in enumerate_characters(5) if c.order == 2][0]
     g = gauss_sum(chi)
-    assert abs(g.value.real - math.sqrt(5)) < 1e-12
-    assert abs(g.value.imag) < 1e-12
+    assert abs(g.real - math.sqrt(5)) < 1e-12
+    assert abs(g.imag) < 1e-12
 
 
 def test_gauss_odd_quadratic_mod3():
     chi = [c for c in enumerate_characters(3) if not c.is_principal][0]
-    assert abs(gauss_sum(chi).magnitude - math.sqrt(3)) < 1e-12
+    assert abs(abs(gauss_sum(chi)) - math.sqrt(3)) < 1e-12
 
 
 @pytest.mark.parametrize("q", range(3, 201))
 def test_gauss_modulus_primitive(q):
     for chi in enumerate_characters(q):
         if chi.is_primitive:
-            g = gauss_sum(chi)
-            assert abs(g.magnitude - math.sqrt(q)) < 1e-8 * math.sqrt(q)
+            assert abs(abs(gauss_sum(chi)) - math.sqrt(q)) < 1e-8 * math.sqrt(q)
 
 
 @pytest.mark.parametrize("q", range(1, Q_TEST + 1))
@@ -321,7 +319,7 @@ def test_gauss_sums_batch_matches_gauss_sum(q):
     assert len(taus) == len(chars)
     e_q = np.exp(2j * np.pi * np.arange(q) / q)
     for chi, tau in zip(chars, taus):
-        assert abs(tau - gauss_sum(chi).value) < 1e-12 * math.sqrt(q)
+        assert abs(tau - gauss_sum(chi)) < 1e-12 * math.sqrt(q)
         # definitional tau(chi) = sum_a chi(a) e(a/q), computed here
         assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
     # every label, imprimitive ones and the one-cell grids of q = 1, 2 included
@@ -342,27 +340,31 @@ def test_gauss_sums_large_q_match_direct_sum(q):
         assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
 
 
+def twist_check(chi, m: int) -> float:
+    return float(twist_discrepancies(chi, [m], gauss_sum(chi))[0])
+
+
 def test_twist_even_quadratic_mod5():
     chi = [c for c in enumerate_characters(5) if c.order == 2][0]
     assert chi.parity == "even"
-    assert twist_identity_check(chi, 2) < 1e-9
+    assert twist_check(chi, 2) < 1e-9
 
 
 def test_twist_odd_mod3():
     chi = [c for c in enumerate_characters(3) if not c.is_principal][0]
-    assert twist_identity_check(chi, 1) < 1e-9
+    assert twist_check(chi, 1) < 1e-9
 
 
 def test_twist_non_unit_m():
     chi = [c for c in enumerate_characters(5) if c.order == 2][0]
     # chi_bar(m) = 0, so the identity reduces to the cosine sum vanishing
-    assert twist_identity_check(chi, 10) < 1e-9
+    assert twist_check(chi, 10) < 1e-9
 
 
 def test_twist_rejects_imprimitive():
     induced = [c for c in enumerate_characters(6) if not c.is_principal][0]
     with pytest.raises(ValueError):
-        twist_identity_check(induced, 1)
+        twist_discrepancies(induced, [1], gauss_sum(induced))
 
 
 @pytest.mark.parametrize("q", range(3, 61))
@@ -370,23 +372,42 @@ def test_twist_random_m(q):
     for chi in enumerate_characters(q):
         if not chi.is_primitive:
             continue
-        for m in RNG.integers(-3 * q, 3 * q, size=50):
-            assert twist_identity_check(chi, int(m)) < 1e-8 * math.sqrt(q)
+        ms = RNG.integers(-3 * q, 3 * q, size=50)
+        assert twist_discrepancies(chi, ms, gauss_sum(chi)).max() < 1e-8 * math.sqrt(q)
 
 
 @pytest.mark.parametrize("q", range(3, Q_TEST + 1))
 def test_twist_discrepancies_match_scalar_check(q):
+    # both sides by definition, here: tau = sum_a chi(a) e(a/q) and the
+    # twisted sum S(m) = sum_a chi(a) e(am/q); a doubled tau makes every
+    # discrepancy at a unit m equal to sqrt(q), so the vector is checked
+    # away from zero too
+    a = np.arange(q)
+    e_q = np.exp(2j * np.pi * a / q)
     for chi in enumerate_characters(q):
         if not chi.is_primitive:
             continue
         ms = np.random.default_rng(q).integers(-3 * q, 3 * q, size=20)
-        got = twist_discrepancies(chi, ms, gauss_sum(chi).value)
-        want = [twist_identity_check(chi, int(m)) for m in ms]
-        assert got == pytest.approx(want, rel=0, abs=1e-12 * math.sqrt(q))
+        vals = chi.values()
+        tau = vals @ e_q
+        twisted = np.array([vals @ e_q[a * m % q] for m in ms])
+        for t in (tau, 2.0 * tau):
+            want = np.abs(np.conj(vals[ms % q]) * t - twisted)
+            got = twist_discrepancies(chi, ms, t)
+            assert got == pytest.approx(want, rel=0, abs=1e-12 * math.sqrt(q))
 
 
 # ---------------------------------------------------------------------------
 # delta_q and serialization
+
+
+def delta_q_check(q: int, a: int) -> int:
+    """Round of (1/q) sum_{x=1}^{q} e(ax/q): 1 iff a = 0 mod q, else 0."""
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    x = np.arange(1, q + 1)
+    s = roots_of_unity(q)[(a * x) % q].sum() / q
+    return int(round(s.real))
 
 
 def test_delta_q_examples():
@@ -433,6 +454,38 @@ def test_characters_are_immutable():
     with pytest.raises(AttributeError):
         chi.parity = "even"
     assert not chi.unit_exponents.flags.writeable
+
+
+def test_character_equality_reads_modulus_and_label():
+    chars = enumerate_characters(12) + enumerate_characters(13) + enumerate_characters(16)
+    for x in chars:
+        for y in chars:
+            same = (x.modulus, x.label) == (y.modulus, y.label)
+            assert (x == y) is same
+            if same:
+                assert hash(x) == hash(y)
+    chi = chars[3]
+    # a rebuilt character is a new object with new arrays, still equal
+    rebuilt = character_from_label(chi.modulus, chi.label)
+    assert rebuilt is not chi and rebuilt == chi and hash(rebuilt) == hash(chi)
+    # the other fields take no part: a copy with changed ones stays equal
+    twin = DirichletCharacter(chi.modulus, chi.label, 1, "even", 99, 1,
+                              np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert twin == chi and hash(twin) == hash(chi)
+    assert chi != (chi.modulus, chi.label)
+    # repr names the scalars and holds no value arrays
+    text = repr(chi)
+    assert f"label={chi.label}" in text and "conductor=" in text
+    assert "unit_residues" not in text and "unit_exponents" not in text
+    assert "array" not in text and "[" not in text
+    for name in ("modulus", "label", "order", "unit_exponents"):
+        with pytest.raises(AttributeError):
+            setattr(chi, name, 0)
+    # a name that is no field fails too; CPython 3.11's frozen slots
+    # __setattr__ raises TypeError there, not AttributeError
+    with pytest.raises((AttributeError, TypeError)):
+        chi.extra = 0
+    assert not hasattr(chi, "extra") and not hasattr(chi, "__dict__")
 
 
 def test_roots_table_conjugate_symmetric():

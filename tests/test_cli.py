@@ -127,6 +127,38 @@ def test_bounds_below_range_one_line_error(capsys, q):
     assert "q >= 3" in err
 
 
+_BAD_CONFIGS = {
+    "q-min-2": (["--q-min", "2"], "3 <= q_min <= q_max"),
+    "q-min-above-q-max": (["--q-min", "5", "--q-max", "4"], "3 <= q_min <= q_max"),
+    "workers-0": (["--workers", "0"], "workers must be >= 1"),
+    "bounds-nope": (["--bounds", "nope"], "unknown bounds"),  # sweep only
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("sweep", case) for case in _BAD_CONFIGS]
+    + [("verify-all", case) for case in _BAD_CONFIGS if case != "bounds-nope"],
+)
+def test_bad_sweep_config_one_line_error(capsys, command, case):
+    argv, message = _BAD_CONFIGS[case]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+
+
+def test_sweep_out_in_missing_directory_one_line_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "s.csv"
+    code, out, err = run_cli(capsys, "sweep", "--q-max", "20", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_all_cmd_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify-all", "--q-min", "3", "--q-max", "30"

@@ -102,11 +102,12 @@ def test_sweep_rows_match_direct_computation():
         for chi in enumerate_characters(q):
             if not chi.is_primitive:
                 continue
-            res = char_sum_result(chi)
+            s, (m, n), t, _ = char_sum_result(chi)
             row = rows[chi.label]
-            assert row.s_chi == res.s_chi
-            assert row.t_chi == res.t_chi
-            assert row.parity == res.parity
+            assert row.s_chi == s
+            assert row.t_chi == t
+            assert row.parity == chi.parity
+            assert (row.m_witness, row.n_witness) == (m, n)
 
 
 def test_sweep_parity_filter():
@@ -181,6 +182,30 @@ def test_sweep_temp_file_is_private_to_the_run(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_sweep_failure_removes_temp_file(tmp_path, monkeypatch):
+    # the JSON summary is written after every row, just before the rename
+    def failing_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.json, "dump", failing_dump)
+    path = tmp_path / "out.json"
+    cfg = SweepConfig(q_min=3, q_max=30, output_format="json", output_path=str(path))
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(cfg)
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_failure_in_rows_removes_temp_file(tmp_path, monkeypatch):
+    def failing_worker(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_sweep_worker", failing_worker)
+    path = tmp_path / "out.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(SweepConfig(q_min=3, q_max=30, output_path=str(path)))
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_summary_aggregates():
