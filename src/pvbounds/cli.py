@@ -10,7 +10,7 @@ import sys
 
 from . import bounds, kernel, lemmas
 from .characters import character_from_label, conductor
-from .harness import DEFAULT_BOUNDS, SweepConfig, run_sweep, verify_all
+from .harness import DEFAULT_BOUNDS, SweepConfig, resolve_workers, run_sweep, verify_all
 
 
 def _add_sweep(sub):
@@ -25,13 +25,18 @@ def _add_sweep(sub):
     )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    p.add_argument("--out", default="-", help="output path, or - for stdout (default)")
 
 
 def _input_error(exc) -> int:
     """Bad input: one error line and exit 2 (1 means a check failed)."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
+
+
+def _check_out_dir(path) -> None:
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"output directory of {path} does not exist")
 
 
 def _cmd_sweep(args) -> int:
@@ -45,20 +50,14 @@ def _cmd_sweep(args) -> int:
             workers=args.workers,
             output_format=args.format,
             output_path=args.out,
-            store_rows=args.out is None,
+            store_rows=False,
         )
+        resolve_workers(args.workers)  # PV_WORKERS must be an integer
+        if args.out != "-":
+            _check_out_dir(args.out)
     except ValueError as exc:
         return _input_error(exc)
-    if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        return _input_error(f"output directory of {args.out} does not exist")
-    report = run_sweep(cfg)
-    if args.out is None:
-        if args.format == "csv":
-            sys.stdout.write(report.csv_text())
-        else:
-            json.dump(report.to_json_dict(), sys.stdout, indent=1)
-            sys.stdout.write("\n")
-    summary = report.summary
+    summary = run_sweep(cfg).summary
     print(
         f"# checked {summary['characters_checked']} primitive characters in "
         f"[{cfg.q_min}, {cfg.q_max}]: {summary['violations']} violations, "
@@ -110,6 +109,11 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
+    if args.out:
+        try:
+            _check_out_dir(args.out)
+        except ValueError as exc:
+            return _input_error(exc)
     grid = kernel.default_grid(refine=2 if args.grid == "fine" else 1)
     result = kernel.lemma3_check(grid)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -180,6 +184,7 @@ def _cmd_verify_all(args) -> int:
         cfg = SweepConfig(
             q_min=args.q_min, q_max=args.q_max, workers=args.workers, store_rows=False
         )
+        resolve_workers(args.workers)  # PV_WORKERS must be an integer
     except ValueError as exc:
         return _input_error(exc)
     outcome = verify_all(sweep_cfg=cfg)

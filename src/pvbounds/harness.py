@@ -3,17 +3,17 @@ evaluate bounds, aggregate margins, and emit CSV/JSON reports.
 
 Work is partitioned by modulus; every per-q result is deterministic, and the
 merge happens in q order, so the emitted rows are byte-identical regardless
-of the worker count. Reports stream to a temporary file and land with one
-atomic rename.
+of the worker count. The sweep loop is the only serializer of rows: they
+stream to stdout, or to a temporary file that lands with one atomic rename.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -35,7 +35,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepReport",
-    "SweepViolation",
     "run_sweep",
     "verify_all",
     "VerifyOutcome",
@@ -213,35 +212,11 @@ def _sweep_worker(args) -> list[SweepRow]:
     return sweep_modulus(*args)
 
 
-class SweepViolation(RuntimeError):
-    """A theorem1/pomerance margin went negative (verification failure)."""
-
-    def __init__(self, report: "SweepReport"):
-        self.report = report
-        rows = report.summary["violation_rows"]
-        super().__init__(f"{len(rows)} negative-margin rows, first: {rows[0]}")
-
-
 @dataclass
 class SweepReport:
     config: SweepConfig
     summary: dict
     rows: list[SweepRow] = field(default_factory=list)
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_csv_header(self.config.bounds))
-        for row in self.rows:
-            writer.writerow(_csv_record(row))
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "summary": self.summary,
-            "rows": [_json_record(r, self.config.bounds) for r in self.rows],
-        }
 
 
 def _json_record(row: SweepRow, bound_names) -> dict:
@@ -262,13 +237,15 @@ def _json_record(row: SweepRow, bound_names) -> dict:
     }
 
 
-def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport:
+def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Sweep every primitive character with q in [q_min, q_max].
 
-    Rows stream to cfg.output_path (CSV or JSON) through a temp file with a
-    final atomic rename; summary always aggregates violations (negative
-    margins are flagged, never dropped), the max ratio S/(sqrt(q) log q),
-    worst margins per bound, and the S = 2T deviation for even characters.
+    Rows stream as CSV or JSON to cfg.output_path: "-" is sys.stdout, which
+    is flushed and left open; a file path goes through a temp file with a
+    final atomic rename; None writes nothing. The summary always aggregates
+    violations (negative margins are flagged, never dropped), the max ratio
+    S/(sqrt(q) log q), worst margins per bound, and the S = 2T deviation for
+    even characters.
     """
     t0 = time.perf_counter()
     workers = resolve_workers(cfg.workers)
@@ -281,7 +258,9 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
 
     sink = tmp_path = csv_writer = None
     try:  # any failure before the final rename removes the temp file
-        if cfg.output_path:
+        if cfg.output_path == "-":
+            sink = sys.stdout  # read at call time, so a redirected stdout is used
+        elif cfg.output_path:
             fd, tmp_path = tempfile.mkstemp(
                 dir=os.path.dirname(os.path.abspath(cfg.output_path)), suffix=".tmp"
             )
@@ -289,6 +268,7 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
+        if sink is not None:
             if cfg.output_format == "csv":
                 csv_writer = csv.writer(sink, lineterminator="\n")
                 csv_writer.writerow(_csv_header(cfg.bounds))
@@ -350,20 +330,19 @@ def run_sweep(cfg: SweepConfig, raise_on_violation: bool = False) -> SweepReport
                 sink.write('\n],\n"summary": ')
                 json.dump(summary, sink, indent=1)
                 sink.write("}\n")
-            sink.close()
-            os.replace(tmp_path, cfg.output_path)
+            if tmp_path is None:
+                sink.flush()
+            else:
+                sink.close()
+                os.replace(tmp_path, cfg.output_path)
     except BaseException:
-        if tmp_path is not None:
+        if tmp_path is not None:  # stdout is never closed
             os.unlink(tmp_path)  # first: closing can fail again, e.g. on a full disk
-        if sink is not None:
-            sink.close()
+            if sink is not None:
+                sink.close()
         raise
 
-    report = SweepReport(config=cfg, summary=summary, rows=kept_rows)
-
-    if raise_on_violation and violation_rows:
-        raise SweepViolation(report)
-    return report
+    return SweepReport(config=cfg, summary=summary, rows=kept_rows)
 
 
 # ---------------------------------------------------------------------------

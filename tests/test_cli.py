@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import re
+import sys
 
 import pytest
 
+from pvbounds import cli, harness, kernel
 from pvbounds.cli import main
 
 
@@ -42,6 +44,58 @@ def test_sweep_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == 1
+
+
+def test_sweep_stdout_equals_out_file_csv(capsys, tmp_path):
+    path = tmp_path / "s.csv"
+    _, out, _ = run_cli(capsys, "sweep", "--q-max", "40")
+    run_cli(capsys, "sweep", "--q-max", "40", "--out", str(path))
+    assert out.encode() == path.read_bytes()
+
+
+def test_sweep_stdout_equals_out_file_json(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    _, out, _ = run_cli(capsys, "sweep", "--q-max", "40", "--format", "json")
+    run_cli(capsys, "sweep", "--q-max", "40", "--format", "json", "--out", str(path))
+    streamed, written = json.loads(out), json.loads(path.read_text())
+    del streamed["summary"]["wall_time_s"], written["summary"]["wall_time_s"]
+    assert streamed == written
+    assert list(streamed) == ["schema", "rows", "summary"]
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "s.csv"]], ids=["stdout", "file"])
+def test_sweep_keeps_no_rows(capsys, monkeypatch, tmp_path, out):
+    reports = []
+
+    def recording_run_sweep(cfg):
+        reports.append(harness.run_sweep(cfg))
+        return reports[-1]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", recording_run_sweep)
+    code, _, _ = run_cli(capsys, "sweep", "--q-max", "30", *out)
+    assert code == 0
+    assert reports[0].summary["characters_checked"] > 0
+    assert reports[0].rows == []
+
+
+def test_sweep_failure_partway_leaves_stdout_open(capsys, monkeypatch):
+    real = harness._sweep_worker
+
+    def failing_worker(args):
+        if args[0] == 10:
+            raise RuntimeError("worker died")
+        return real(args)
+
+    monkeypatch.setattr(harness, "_sweep_worker", failing_worker)
+    with pytest.raises(RuntimeError, match="worker died"):
+        main(["sweep", "--q-max", "20"])
+    assert not sys.stdout.closed
+    print("still open")
+    out = capsys.readouterr().out
+    assert out.startswith("q,char_label,")
+    assert "\n9," in out and "\n10," not in out
+    assert out.endswith("still open\n")
 
 
 def test_bounds_csv(capsys):
@@ -152,6 +206,30 @@ def test_bad_sweep_config_one_line_error(capsys, command, case):
 def test_sweep_out_in_missing_directory_one_line_error(capsys, tmp_path):
     path = tmp_path / "missing" / "s.csv"
     code, out, err = run_cli(capsys, "sweep", "--q-max", "20", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify-all"])
+def test_non_integer_pv_workers_one_line_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("PV_WORKERS", "x")
+    code, out, err = run_cli(capsys, command, "--q-max", "10")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "PV_WORKERS" in err
+
+
+def test_kernel_check_out_in_missing_directory_one_line_error(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran before the --out check")
+
+    monkeypatch.setattr(kernel, "lemma3_check", unreachable)
+    path = tmp_path / "missing" / "k.csv"
+    code, out, err = run_cli(capsys, "kernel-check", "--out", str(path))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
