@@ -57,7 +57,16 @@ def _cmd_sweep(args) -> int:
             _check_out_dir(args.out)
     except ValueError as exc:
         return _input_error(exc)
-    summary = run_sweep(cfg).summary
+    try:
+        summary = run_sweep(cfg).summary
+    except BrokenPipeError:  # the stdout reader left early, e.g. `| head`
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:  # point stdout there, so the flush at exit cannot raise again
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:  # a stdout with no file descriptor
+            pass
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a writer that died of it
     print(
         f"# checked {summary['characters_checked']} primitive characters in "
         f"[{cfg.q_min}, {cfg.q_max}]: {summary['violations']} violations, "

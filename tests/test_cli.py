@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -83,7 +85,7 @@ def test_sweep_failure_partway_leaves_stdout_open(capsys, monkeypatch):
     real = harness._sweep_worker
 
     def failing_worker(args):
-        if args[0] == 10:
+        if args[0] == 11:
             raise RuntimeError("worker died")
         return real(args)
 
@@ -94,8 +96,40 @@ def test_sweep_failure_partway_leaves_stdout_open(capsys, monkeypatch):
     print("still open")
     out = capsys.readouterr().out
     assert out.startswith("q,char_label,")
-    assert "\n9," in out and "\n10," not in out
+    assert "\n9," in out and "\n11," not in out
     assert out.endswith("still open\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_sweep_broken_pipe_exits_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["sweep", "--q-max", "20"]) == 141  # not 1, the violations code
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_broken_pipe_from_a_real_pipe():
+    code = (
+        "import sys; from pvbounds.cli import main; "
+        "sys.exit(main(['sweep', '--q-max', '200']))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"q,char_label,")
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_bounds_csv(capsys):

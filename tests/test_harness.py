@@ -158,9 +158,9 @@ def test_sweep_json_stream_matches_report(tmp_path):
     got = json.loads(path.read_text())
     # tuples in the report become lists in JSON
     assert got["summary"] == json.loads(json.dumps(report.summary))
-    assert [(r["q"], r["label"], r["s_chi"], r["t_chi"]) for r in got["rows"]] == [
-        (r.q, list(r.label), r.s_chi, r.t_chi) for r in report.rows
-    ]
+    assert got["rows"] == json.loads(
+        json.dumps([harness._json_record(r, cfg.bounds) for r in report.rows])
+    )
     assert len(got["rows"]) == got["summary"]["characters_checked"] > 0
 
 
