@@ -1,10 +1,10 @@
 """Dirichlet characters modulo q: unit groups, enumeration, Gauss sums.
 
-A character is stored through an integer exponent table: chi(a) = e(t_a / N)
-with e(u) = exp(2*pi*i*u), where N is the exponent of the unit group mod q.
-Conductor and order are read from the generator-exponent label by local
-rules, parity from the exponent at -1; all three are exact integer
-arithmetic, and complex value tables are materialized on demand.
+A character is stored as its generator-exponent label; its integer exponent
+table gives chi(a) = e(t_a / N) with e(u) = exp(2*pi*i*u), where N is the
+exponent of the unit group mod q. Conductor and order are read from the
+label by local rules, parity from the exponent at -1; all three are exact
+integer arithmetic, and exponent and value tables are built on demand.
 conductor() is the definitional divisor-by-divisor test, kept as the oracle
 that the label rule is checked against. The Gauss sums of every character
 mod q come from one inverse DFT over the unit-group index grid.
@@ -23,7 +23,6 @@ __all__ = [
     "DirichletCharacter",
     "unit_group",
     "enumerate_characters",
-    "primitive_characters",
     "primitive_mask",
     "character_from_label",
     "conductor",
@@ -270,18 +269,31 @@ class _CharacterFamily:
         )
         return ords, np.lcm.reduce(local, axis=1, initial=1)
 
-    def characters(self, labels: np.ndarray) -> list[DirichletCharacter]:
-        """The characters with the given (n x r) block of labels, in row order.
+    def exponents(self, labels, units=slice(None)) -> np.ndarray:
+        """t = sum_j e_j * dlog[i][j] * (N / order_j) mod N, exact in int64, for
+        the labels at unit positions i: an (n x r) block at all units gives
+        the (n x phi) tables in one product and mod, one label at one i an int."""
+        t = (np.asarray(labels, dtype=np.int64) * self.scale) @ self.dlog[units].T
+        t %= self.n_root  # in place: one phi-sized allocation per table, not two
+        return t
 
-        labels is int64; exponent tables are exact int64 products, one row
-        per character.
-        """
+    def value_tables(self, labels) -> np.ndarray:
+        """Complex value tables (n x q, zero off the units) of an (n x r)
+        block of labels, from its exponent tables. The output is allocated
+        first, so the freed tables leave no hole below it in the heap."""
+        roots = roots_of_unity(self.n_root)
+        vals = np.zeros((len(labels), self.q), dtype=np.complex128)
+        tables = self.exponents(labels)
+        for row, t in zip(vals, tables):  # row by row: a 2-D scatter is ~3x slower
+            row[self.units] = roots[t]
+        return vals
+
+    def characters(self, labels: np.ndarray) -> list[DirichletCharacter]:
+        """The characters with the given (n x r) int64 block of labels, in
+        row order; conductor, order and parity come from the labels alone."""
         ords, conds = self.orders_and_conductors(labels)
         char_orders = np.lcm.reduce(ords, axis=1, initial=1).tolist()
-        tables = (labels * self.scale) @ self.dlog.T
-        np.mod(tables, self.n_root, out=tables)
-        tables.setflags(write=False)
-        even = (tables[:, self.minus_one_pos] == 0).tolist()
+        even = (self.exponents(labels, self.minus_one_pos) == 0).tolist()
         return [
             DirichletCharacter(
                 modulus=self.q,
@@ -290,11 +302,10 @@ class _CharacterFamily:
                 parity="even" if ev else "odd",
                 order=order,
                 root_order=self.n_root,
-                unit_residues=self.units,
-                unit_exponents=exps,
+                family=self,
             )
-            for label, cond, ev, order, exps in zip(
-                labels.tolist(), conds.tolist(), even, char_orders, tables
+            for label, cond, ev, order in zip(
+                labels.tolist(), conds.tolist(), even, char_orders
             )
         ]
 
@@ -313,8 +324,10 @@ class DirichletCharacter:
     """A Dirichlet character mod q in exact exponent form.
 
     label is the exponent vector on the unit-group generators; the value at
-    the i-th enumerated unit is e(unit_exponents[i] / root_order). Equality
-    and hash read only (modulus, label). Instances are immutable and safe to
+    the i-th enumerated unit is e(unit_exponents[i] / root_order). The
+    character holds no table: unit_exponents and values() are computed from
+    the label and the family's shared arrays on each call. Equality and
+    hash read only (modulus, label). Instances are immutable and safe to
     share across workers.
     """
 
@@ -324,8 +337,7 @@ class DirichletCharacter:
     parity: str = field(compare=False)
     order: int = field(compare=False)
     root_order: int = field(compare=False, repr=False)
-    unit_residues: np.ndarray = field(compare=False, repr=False)
-    unit_exponents: np.ndarray = field(compare=False, repr=False)
+    family: _CharacterFamily = field(compare=False, repr=False)
 
     @property
     def is_principal(self) -> bool:
@@ -335,22 +347,28 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
+    @property
+    def unit_residues(self) -> np.ndarray:
+        """The units mod q in enumeration order (the family's read-only array)."""
+        return self.family.units
+
+    @property
+    def unit_exponents(self) -> np.ndarray:
+        """Read-only int64 exponent table over the units, built on each access."""
+        exps = self.family.exponents([self.label])[0]
+        exps.setflags(write=False)
+        return exps
+
     def values(self) -> np.ndarray:
         """Complex value table of length q (zero off the units)."""
-        vals = np.zeros(self.modulus, dtype=np.complex128)
-        vals[self.unit_residues] = roots_of_unity(self.root_order)[
-            self.unit_exponents
-        ]
-        return vals
+        return self.family.value_tables([self.label])[0]
 
     def value(self, a: int) -> complex:
-        a = a % self.modulus
-        pos = np.nonzero(self.unit_residues == a)[0]
+        pos = np.flatnonzero(self.family.units == a % self.modulus)
         if len(pos) == 0:
             return 0j
-        return complex(
-            roots_of_unity(self.root_order)[self.unit_exponents[pos[0]]]
-        )
+        t = self.family.exponents(self.label, pos[0])
+        return complex(roots_of_unity(self.root_order)[t])
 
     def to_json_dict(self) -> dict:
         """JSON form; the value table is always recomputed from the label."""
@@ -363,26 +381,11 @@ class DirichletCharacter:
         }
 
 
-_LABEL_BLOCK = 256  # labels per exponent-table block
-
-
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, in lexicographic label order."""
+    """All phi(q) characters mod q, in lexicographic label order; an
+    O(phi * r) pass over integers that builds no table."""
     fam = _family(q)
-    chars: list[DirichletCharacter] = []
-    for start in range(0, len(fam.dlog), _LABEL_BLOCK):
-        # labels enumerate like dlog
-        chars.extend(fam.characters(fam.dlog[start : start + _LABEL_BLOCK]))
-    return chars
-
-
-def primitive_characters(q: int):
-    """The primitive characters mod q, in label order, built 256 exponent
-    tables at a time so that memory stays bounded."""
-    fam = _family(q)
-    labels = fam.dlog[primitive_mask(q)]
-    for start in range(0, len(labels), _LABEL_BLOCK):
-        yield from fam.characters(labels[start : start + _LABEL_BLOCK])
+    return fam.characters(fam.dlog)  # labels enumerate like dlog
 
 
 def primitive_mask(q: int) -> np.ndarray:
@@ -417,9 +420,9 @@ def conductor(chi: DirichletCharacter) -> int:
     conductor field that the characters carry (read from the label); the
     character is primitive exactly when the result equals its modulus.
     """
+    units, exps = chi.unit_residues, chi.unit_exponents
     for d in divisors(chi.modulus):
-        mask = chi.unit_residues % d == 1 % d
-        if not np.any(chi.unit_exponents[mask]):
+        if not np.any(exps[units % d == 1 % d]):
             return d
     return chi.modulus
 
@@ -470,8 +473,9 @@ def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray
         raise ValueError("twist identity only holds for primitive characters")
     q = chi.modulus
     ms = np.asarray(ms, dtype=np.int64) % q
-    vals = roots_of_unity(chi.root_order)[chi.unit_exponents]
-    lhs = np.conj(chi.values()[ms]) * tau
+    table = chi.values()
+    vals = table[chi.unit_residues]
+    lhs = np.conj(table[ms]) * tau
     phases = roots_of_unity(q)[(chi.unit_residues[:, None] * ms[None, :]) % q]
     if chi.parity == "even":
         rhs = vals @ phases.real

@@ -50,7 +50,6 @@ def _cmd_sweep(args) -> int:
             workers=args.workers,
             output_format=args.format,
             output_path=args.out,
-            store_rows=False,
         )
         resolve_workers(args.workers)  # PV_WORKERS must be an integer
         if args.out != "-":
@@ -190,9 +189,7 @@ def _cmd_char_info(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     try:
-        cfg = SweepConfig(
-            q_min=args.q_min, q_max=args.q_max, workers=args.workers, store_rows=False
-        )
+        cfg = SweepConfig(q_min=args.q_min, q_max=args.q_max, workers=args.workers)
         resolve_workers(args.workers)  # PV_WORKERS must be an integer
     except ValueError as exc:
         return _input_error(exc)

@@ -89,7 +89,7 @@ class SweepConfig:
     workers: int = 1
     output_format: str = "csv"
     output_path: str | None = None
-    store_rows: bool = True
+    store_rows: bool = False
 
     def __post_init__(self):
         if not (3 <= self.q_min <= self.q_max):
@@ -373,23 +373,22 @@ def _twist_draws(seed: int, q: int, idx: int, m_per_char: int) -> np.ndarray:
 
 def _twist_worker(args) -> tuple[int, float]:
     q, m_per_char, seed = args
-    prim = [
-        (idx, chi)
-        for idx, chi in enumerate(enumerate_characters(q))
-        if chi.is_primitive
-    ]
-    taus = gauss_sums([chi for _, chi in prim])
+    chars = enumerate_characters(q)
+    idx = [i for i, chi in enumerate(chars) if chi.is_primitive]
+    fam = chars[0].family
+    labels = fam.dlog[idx]  # labels enumerate like dlog
+    taus = gauss_sums([chars[i] for i in idx])
     worst = 0.0
-    for start in range(0, len(prim), _TWIST_BLOCK):
-        block = prim[start : start + _TWIST_BLOCK]
-        vals = np.stack([chi.values() for _, chi in block])
+    for start in range(0, len(idx), _TWIST_BLOCK):
+        block = idx[start : start + _TWIST_BLOCK]
+        vals = fam.value_tables(labels[start : start + _TWIST_BLOCK])
         sums = np.fft.ifft(vals, axis=1) * q  # row i, column m: sum_a chi_i(a) e(am/q)
-        ms = np.stack([_twist_draws(seed, q, idx, m_per_char) for idx, _ in block]) % q
+        ms = np.stack([_twist_draws(seed, q, i, m_per_char) for i in block]) % q
         rows = np.arange(len(block))[:, None]
         tau = taus[start : start + _TWIST_BLOCK, None]
         errs = np.abs(np.conj(vals[rows, ms]) * tau - sums[rows, ms])
         worst = max(worst, float(errs.max()) / math.sqrt(q))
-    return m_per_char * len(prim), worst
+    return m_per_char * len(idx), worst
 
 
 def twist_check_range(
@@ -463,7 +462,7 @@ def verify_all(
     unknown = set(suites) - set(ALL_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    cfg = sweep_cfg if sweep_cfg is not None else SweepConfig(store_rows=False)
+    cfg = sweep_cfg if sweep_cfg is not None else SweepConfig()
 
     def sweep_suite():
         report = run_sweep(cfg)

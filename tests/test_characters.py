@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from pvbounds.characters import (
     gauss_sum,
     gauss_sum_table,
     gauss_sums,
-    primitive_characters,
     primitive_mask,
     roots_of_unity,
     twist_discrepancies,
@@ -253,31 +252,76 @@ def test_character_from_label_large_q(q):
 
 @pytest.mark.parametrize("q", range(1, 301))
 def test_primitive_stream_matches_conductor_oracle(q):
-    """The primitive characters, streamed, are those the divisor-scan
-    conductor() keeps from the full enumeration, in the same order."""
+    """The characters that is_primitive keeps (conductor read from the label)
+    are those the divisor-scan conductor() keeps, in the same order, and
+    primitive_mask marks the same rows."""
     full = enumerate_characters(q)
     kept = [chi for chi in full if conductor(chi) == q]
-    streamed = list(primitive_characters(q))
-    assert [chi.label for chi in streamed] == [chi.label for chi in kept]
-    for chi, want in zip(streamed, kept):
-        assert np.array_equal(chi.unit_exponents, want.unit_exponents)
-        assert chi.conductor == q
+    primitive = [chi for chi in full if chi.is_primitive]
+    assert [chi.label for chi in primitive] == [chi.label for chi in kept]
     assert primitive_mask(q).tolist() == [conductor(chi) == q for chi in full]
 
 
-def test_primitive_stream_holds_one_block_of_tables():
-    """At q = 27091 all primitive tables would take phi^2 * 8 bytes (~5.9 GB);
-    taking the first block of 256 must cost about that block alone."""
+def exponent_table_oracle(q, label) -> list[int]:
+    """Oracle: t_i = sum_j e_j * d_j * (N / o_j) mod N in Python ints, per
+    unit in the order of units_oracle (d runs over the generator-exponent
+    vectors, first generator slowest)."""
+    orders = unit_group(q).orders
+    n = math.lcm(*orders) if orders else 1
+    coef = [e * (n // o) for e, o in zip(label, orders)]
+    return [
+        sum(c * d for c, d in zip(coef, dvec)) % n
+        for dvec in product(*(range(o) for o in orders))
+    ]
+
+
+@pytest.mark.parametrize("q", range(1, 301))
+def test_exponent_tables_match_python_int_oracle(q):
+    chars = enumerate_characters(q)
+    assert chars[0].unit_residues.tolist() == units_oracle(q)
+    for chi in chars:
+        assert chi.unit_exponents.tolist() == exponent_table_oracle(q, chi.label)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [10007, 101**2, 10080, 27091, 167**2, 27720, 100003, 317**2, 100100],
+)
+def test_exponent_tables_match_python_int_oracle_large_q(q):
+    idx = np.flatnonzero(primitive_mask(q))
+    rng = np.random.default_rng(q)
+    orders = unit_group(q).orders
+    for i in rng.choice(idx, size=2, replace=False):
+        chi = character_from_label(q, [int(e) for e in np.unravel_index(i, orders)])
+        assert chi.is_primitive
+        assert chi.unit_exponents.tolist() == exponent_table_oracle(q, chi.label)
+    assert chi.unit_residues.tolist() == units_oracle(q)
+
+
+@pytest.mark.parametrize("q", [1, 12, 1009, 1024, 2**5 * 3**2 * 5 * 7])
+def test_block_value_tables_equal_per_character_values(q):
+    """The family's block builder gives every row of a label block the bits
+    of that character's own values()."""
+    chars = enumerate_characters(q)
+    labels = np.array([chi.label for chi in chars], dtype=np.int64).reshape(len(chars), -1)
+    for start in range(0, len(chars), 256):
+        block = chars[0].family.value_tables(labels[start : start + 256])
+        for row, chi in zip(block, chars[start : start + 256]):
+            assert row.tobytes() == chi.values().tobytes()
+
+
+def test_enumeration_holds_no_tables():
+    """All phi(q) exponent tables at q = 27091 would take phi^2 * 8 bytes
+    (~5.9 GB); enumeration builds none of them."""
     q = 27091
     tracemalloc.start()
     try:
-        block = list(islice(primitive_characters(q), 256))
+        chars = enumerate_characters(q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tables = sum(chi.unit_exponents.nbytes for chi in block)
-    assert len(block) == 256 and tables == 256 * (q - 1) * 8
-    assert peak < 2 * tables
+    assert len(chars) == q - 1
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("q", range(1, 201))
@@ -453,7 +497,14 @@ def test_characters_are_immutable():
     chi = enumerate_characters(5)[1]
     with pytest.raises(AttributeError):
         chi.parity = "even"
-    assert not chi.unit_exponents.flags.writeable
+    # the exponent table is a property built on each access, read-only each time
+    exps = chi.unit_exponents
+    assert not exps.flags.writeable and exps is not chi.unit_exponents
+    # a property is no field; CPython 3.11's frozen slots __setattr__
+    # raises TypeError there, not AttributeError
+    with pytest.raises((AttributeError, TypeError)):
+        chi.unit_exponents = exps
+    assert not chi.unit_residues.flags.writeable
 
 
 def test_character_equality_reads_modulus_and_label():
@@ -470,15 +521,16 @@ def test_character_equality_reads_modulus_and_label():
     assert rebuilt is not chi and rebuilt == chi and hash(rebuilt) == hash(chi)
     # the other fields take no part: a copy with changed ones stays equal
     twin = DirichletCharacter(chi.modulus, chi.label, 1, "even", 99, 1,
-                              np.zeros(0, np.int64), np.zeros(0, np.int64))
+                              enumerate_characters(16)[0].family)
     assert twin == chi and hash(twin) == hash(chi)
     assert chi != (chi.modulus, chi.label)
     # repr names the scalars and holds no value arrays
     text = repr(chi)
     assert f"label={chi.label}" in text and "conductor=" in text
     assert "unit_residues" not in text and "unit_exponents" not in text
+    assert "family" not in text
     assert "array" not in text and "[" not in text
-    for name in ("modulus", "label", "order", "unit_exponents"):
+    for name in ("modulus", "label", "order", "family"):
         with pytest.raises(AttributeError):
             setattr(chi, name, 0)
     # a name that is no field fails too; CPython 3.11's frozen slots

@@ -7,7 +7,6 @@ from pvbounds import charsums
 from pvbounds.characters import (
     character_from_label,
     enumerate_characters,
-    primitive_characters,
     unit_group,
 )
 from pvbounds.charsums import (
@@ -315,7 +314,11 @@ def assert_block_level_matches_full_scan(walks, monkeypatch, gate=0):
 
 @pytest.mark.parametrize("q", range(3, 301))
 def test_block_level_matches_full_scan_small_q(q, monkeypatch):
-    walks = [prefix_walk(chi) for chi in primitive_characters(q) if chi.order > 2]
+    walks = [
+        prefix_walk(chi)
+        for chi in enumerate_characters(q)
+        if chi.is_primitive and chi.order > 2
+    ]
     assert_block_level_matches_full_scan(walks, monkeypatch)
 
 

@@ -78,7 +78,7 @@ def test_resolve_workers_unknown_cpu_count(monkeypatch):
 
 
 def test_sweep_rows_primitive_only_sorted():
-    report = run_sweep(SweepConfig(q_min=3, q_max=60))
+    report = run_sweep(SweepConfig(q_min=3, q_max=60, store_rows=True))
     rows = report.rows
     keys = [(r.q, r.label) for r in rows]
     assert keys == sorted(keys)
@@ -109,7 +109,7 @@ def test_sweep_rows_match_direct_computation():
 
 
 def test_sweep_parity_filter():
-    report = run_sweep(SweepConfig(q_min=3, q_max=40, parities=("even",)))
+    report = run_sweep(SweepConfig(q_min=3, q_max=40, parities=("even",), store_rows=True))
     assert all(r.parity == "even" for r in report.rows)
 
 
@@ -153,7 +153,9 @@ def test_sweep_json_schema(tmp_path):
 
 def test_sweep_json_stream_matches_report(tmp_path):
     path = tmp_path / "out.json"
-    cfg = SweepConfig(q_min=3, q_max=12, output_format="json", output_path=str(path))
+    cfg = SweepConfig(
+        q_min=3, q_max=12, output_format="json", output_path=str(path), store_rows=True
+    )
     report = run_sweep(cfg)
     got = json.loads(path.read_text())
     # tuples in the report become lists in JSON
@@ -210,7 +212,7 @@ def test_sweep_failure_in_rows_removes_temp_file(tmp_path, monkeypatch):
 
 
 def test_sweep_summary_aggregates():
-    report = run_sweep(SweepConfig(q_min=3, q_max=100))
+    report = run_sweep(SweepConfig(q_min=3, q_max=100, store_rows=True))
     s = report.summary
     margins = [m for r in report.rows for m in (r.margins[0],)]
     assert s["worst_margin"]["theorem1"]["margin"] == min(margins)
@@ -353,6 +355,20 @@ def test_gauss_check_past_odd_crossover_in_bounded_memory():
     assert count == 27091 - 2
     assert worst < 1e-8
     assert peak < 64 * 2**20
+
+
+def test_sweep_modulus_holds_no_table_per_character():
+    """Characters carry labels, not tables: phi^2 * 8 bytes of exponent
+    tables at q = 1999 would be 30.5 MiB, one table per computed character
+    at a time is 16 KiB."""
+    tracemalloc.start()
+    try:
+        rows = sweep_modulus(1999, ("even", "odd"), harness.DEFAULT_BOUNDS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1997
+    assert peak < 8 * 2**20
 
 
 def test_identity_checks_independent_of_worker_count(monkeypatch):

@@ -33,3 +33,26 @@ def test_tracer_install_wraps_and_uninstall_restores():
         tracer.uninstall()
     for (mod, attr), fn in zip(targets, before):
         assert getattr(mod, attr) is fn, f"{mod.__name__}.{attr} not restored"
+
+
+def test_traced_spans_stay_on_the_call_paths():
+    """The benchmark requires these spans on its desk-sweep, identities and
+    large-q paths; a call path that no longer reaches a wrapped name fails
+    here, not only in a benchmark run."""
+    tracing = _load_tracing()
+    harness = importlib.import_module("pvbounds.harness")
+    characters = importlib.import_module("pvbounds.characters")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.section = "sweep"
+        harness.sweep_modulus(1999, ("even", "odd"), harness.DEFAULT_BOUNDS)
+        tracer.section = "twist"
+        harness.twist_check_range(491, 492, workers=1)
+        tracer.section = "label"
+        characters.character_from_label(1999, (5,))
+    finally:
+        tracer.uninstall()
+    assert tracer.count("characters.enumerate", "sweep") >= 1
+    assert tracer.count("characters.enumerate", "twist") >= 1
+    assert tracer.count("characters.from_label", "label") >= 1
