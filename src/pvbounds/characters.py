@@ -449,8 +449,10 @@ def gauss_sums(chars) -> np.ndarray:
     if not chars:  # e.g. the primitive characters of q = 2 mod 4
         return np.zeros(0, dtype=np.complex128)
     q = chars[0].modulus
-    orders = _family(q).group.orders
-    return gauss_sum_table(q)[[np.ravel_multi_index(chi.label, orders) for chi in chars]]
+    labels = np.array([chi.label for chi in chars], dtype=np.intp)  # (n, r)
+    # broadcast: with no components (q = 1, 2) ravel_multi_index gives one scalar
+    flat = np.broadcast_to(np.ravel_multi_index(labels.T, _family(q).group.orders), len(chars))
+    return gauss_sum_table(q)[flat]
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

@@ -152,6 +152,8 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    if args.n_max < 1:
+        return _input_error(f"--n-max must be at least 1, got {args.n_max}")
     cfg1 = lemmas.default_lemma1_config(n_max=args.n_max)
     cfg2 = lemmas.default_lemma2_config(n_max=args.n_max, seed=args.seed)
     r1 = lemmas.lemma1_check(cfg1)

@@ -365,10 +365,11 @@ def gauss_check_range(q_min: int, q_max: int, workers: int = 1):
     return sum(c for c, _ in results), max((w for _, w in results), default=0.0)
 
 
-def _twist_draws(seed: int, q: int, idx: int, m_per_char: int) -> np.ndarray:
-    """The twists m of the character in row idx of enumerate_characters(q)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
-    return rng.integers(0, 10 * q, size=m_per_char)
+def _twist_draws(seed: int, q: int, n: int, m_per_char: int) -> np.ndarray:
+    """The twists m of the n primitive characters of q: row i belongs to the
+    i-th primitive character of enumerate_characters(q)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, q]))
+    return rng.integers(0, 10 * q, size=(n, m_per_char))
 
 
 def _twist_worker(args) -> tuple[int, float]:
@@ -378,15 +379,15 @@ def _twist_worker(args) -> tuple[int, float]:
     fam = chars[0].family
     labels = fam.dlog[idx]  # labels enumerate like dlog
     taus = gauss_sums([chars[i] for i in idx])
+    ms = _twist_draws(seed, q, len(idx), m_per_char) % q
     worst = 0.0
     for start in range(0, len(idx), _TWIST_BLOCK):
-        block = idx[start : start + _TWIST_BLOCK]
         vals = fam.value_tables(labels[start : start + _TWIST_BLOCK])
         sums = np.fft.ifft(vals, axis=1) * q  # row i, column m: sum_a chi_i(a) e(am/q)
-        ms = np.stack([_twist_draws(seed, q, i, m_per_char) for i in block]) % q
-        rows = np.arange(len(block))[:, None]
+        block_ms = ms[start : start + _TWIST_BLOCK]
+        rows = np.arange(len(vals))[:, None]
         tau = taus[start : start + _TWIST_BLOCK, None]
-        errs = np.abs(np.conj(vals[rows, ms]) * tau - sums[rows, ms])
+        errs = np.abs(np.conj(vals[rows, block_ms]) * tau - sums[rows, block_ms])
         worst = max(worst, float(errs.max()) / math.sqrt(q))
     return m_per_char * len(idx), worst
 

@@ -128,7 +128,7 @@ def s_u_p_grid(us: np.ndarray, P: float) -> np.ndarray:
     frac = us - np.floor(us)
     saw = np.where(frac == 0.0, 0.0, math.pi * (0.5 - frac))
     out = np.empty(len(us), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, len(m)))
+    chunk = max(1, (1 << 18) // max(1, len(m)))  # 2 MiB per temporary
     for lo in range(0, len(us), chunk):
         t = us[lo : lo + chunk, None] * m[None, :]
         t -= np.round(t)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pvbounds import cli, harness, kernel
+from pvbounds import cli, harness, kernel, lemmas
 from pvbounds.cli import main
 
 
@@ -269,6 +269,20 @@ def test_kernel_check_out_in_missing_directory_one_line_error(capsys, monkeypatc
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "does not exist" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_lemmas_n_max_below_one_line_error(capsys, monkeypatch, n_max):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a lemma sweep ran before the --n-max check")
+
+    monkeypatch.setattr(lemmas, "lemma1_check", unreachable)
+    monkeypatch.setattr(lemmas, "lemma2_check", unreachable)
+    code, out, err = run_cli(capsys, "lemmas", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"--n-max must be at least 1, got {n_max}" in err
 
 
 def test_verify_all_cmd_small(capsys):

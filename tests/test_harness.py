@@ -260,21 +260,24 @@ def test_twist_check_range_small():
 
 
 def test_twist_worker_draws_by_full_enumeration_row(monkeypatch):
-    """Each primitive character's twists are seeded by its row among all
-    phi(q) characters, as a reference loop over the full enumeration does."""
+    """One generator per modulus, seeded by (seed, q): its row i holds the
+    twists of the i-th primitive character in enumeration order, as a
+    reference loop over the full enumeration draws them."""
     seed, m_per_char = 7, 5
     want = []
     for q in range(3, 41):
-        for idx, chi in enumerate(enumerate_characters(q)):
-            if conductor(chi) == q:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, q, idx]))
-                want.append((q, chi.label, rng.integers(0, 10 * q, size=m_per_char).tolist()))
+        prim = [chi for chi in enumerate_characters(q) if conductor(chi) == q]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, q]))
+        draws = rng.integers(0, 10 * q, size=(len(prim), m_per_char))
+        want += [(q, chi.label, row.tolist()) for chi, row in zip(prim, draws)]
     got = []
     real = harness._twist_draws
 
-    def recording(seed, q, idx, m_per_char):
-        ms = real(seed, q, idx, m_per_char)
-        got.append((q, enumerate_characters(q)[idx].label, [int(m) for m in ms]))
+    def recording(seed, q, n, m_per_char):
+        ms = real(seed, q, n, m_per_char)
+        prim = [chi for chi in enumerate_characters(q) if chi.is_primitive]
+        assert ms.shape == (n, m_per_char) == (len(prim), m_per_char)
+        got.extend((q, chi.label, [int(m) for m in row]) for chi, row in zip(prim, ms))
         return ms
 
     monkeypatch.setattr(harness, "_twist_draws", recording)
@@ -282,6 +285,14 @@ def test_twist_worker_draws_by_full_enumeration_row(monkeypatch):
     assert got == want
     assert count == m_per_char * len(want)
     assert worst < 1e-8
+
+
+def test_twist_check_range_same_at_any_worker_count():
+    """The draws depend only on (seed, q), so (count, worst) is the same,
+    to the bit, however the moduli are split among workers."""
+    one = twist_check_range(3, 60, m_per_char=20, seed=5, workers=1)
+    assert one[1] > 0  # a positive float equals another only bit for bit
+    assert twist_check_range(3, 60, m_per_char=20, seed=5, workers=2) == one
 
 
 @pytest.mark.parametrize("q", range(1, 61))
@@ -305,7 +316,9 @@ def test_twisted_sums_by_inverse_fft_at_every_m(q, monkeypatch):
         )
         assert np.abs(fft_sums - np.conj(vals) * tau).max() < 1e-8 * math.sqrt(q)
         assert np.abs(fft_sums - direct).max() < 1e-12 * math.sqrt(q)
-    monkeypatch.setattr(harness, "_twist_draws", lambda seed, q, idx, n: np.arange(q))
+    monkeypatch.setattr(
+        harness, "_twist_draws", lambda seed, q, n, m: np.tile(np.arange(q), (n, 1))
+    )
     count, worst = harness._twist_worker((q, q, 0))
     assert count == q * len(chars)
     assert worst < 1e-8

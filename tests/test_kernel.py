@@ -2,6 +2,7 @@
 kernel in both representations, and the constant optimization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,19 @@ def test_lemma3_ratio_bound_holds():
 def test_lemma3_ratio_zero_at_origin():
     for P in P_SET:
         assert s_u_p(0.0, P) / g_p_closed(0.0, P) == 0.0
+
+
+def test_lemma3_check_holds_bounded_chunks():
+    """s_u_p_grid's sine temporaries are 2 MiB chunks; at 2^22 elements
+    each (32 MiB, two alive in t -= np.round(t)) the peak was ~65 MiB."""
+    tracemalloc.start()
+    try:
+        res = lemma3_check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.violations == ()
+    assert peak < 16 * 2**20
 
 
 def test_lemma3_stable_under_refinement():
