@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "EULER_GAMMA",
     "BoundValue",
@@ -27,6 +25,8 @@ __all__ = [
     "catalog_bounds",
     "evaluate_bound",
     "bound_names",
+    "DIFFERENCE_COEFFS",
+    "decreasing_from",
     "crossover",
     "CrossoverNotFound",
 ]
@@ -70,7 +70,8 @@ def _exp_remainder(x: float) -> float:
 
 
 def psi1(q: int) -> float:
-    """Remainder of the even-parity sharpened bound; decreasing for q >= 9."""
+    """Even remainder: 1 + 24/(pi^2 C0) + (8/pi^2) x/(e^(2x/C0) - 1), x = sqrt q.
+    The varying term decreases for every q > 0."""
     c = c0()
     rq = math.sqrt(q)
     return 1.0 + 24.0 / (math.pi**2 * c) + (8.0 / math.pi**2) * rq * _exp_remainder(
@@ -79,7 +80,8 @@ def psi1(q: int) -> float:
 
 
 def psi2(q: int) -> float:
-    """Remainder of the odd-parity sharpened bound."""
+    """Odd remainder: 1 + 3/C0 + (2/pi) x/(e^(pi x/C0) - 1), x = sqrt q.
+    The varying term decreases for every q > 0."""
     c = c0()
     rq = math.sqrt(q)
     return 1.0 + 3.0 / c + (2.0 / math.pi) * rq * _exp_remainder(
@@ -154,6 +156,22 @@ _CATALOG = {
 }
 
 
+# The main terms cancel: D(q) = theorem1 - pomerance = sqrt(q) (a - b log log q)
+# + psi1 (even) or psi2 (odd); parity -> (a, b), read off the rows above.
+DIFFERENCE_COEFFS = {
+    "even": ((4.0 / math.pi**2) * (1.0 + EULER_GAMMA + math.log(c0())) - 1.5,
+             4.0 / math.pi**2),
+    "odd": ((1.0 / math.pi) * (1.0 + EULER_GAMMA + math.log(2.0 * c0() / math.pi))
+            - 1.0, 1.0 / math.pi),
+}
+
+
+def decreasing_from(parity: str) -> float:
+    """q0 = exp(exp(a/b)): from there a - b log log q <= 0, so D strictly decreases."""
+    a, b = DIFFERENCE_COEFFS[parity]
+    return math.exp(math.exp(a / b))
+
+
 def bound_names() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
@@ -210,57 +228,32 @@ def catalog_bounds(q: int, parity: str) -> list[BoundValue]:
 
 
 class CrossoverNotFound(RuntimeError):
-    """No crossover below the search limit (would contradict the claim)."""
-
-
-def _difference(q: int, parity: str) -> float:
-    return theorem1_bound(q, parity).value - pomerance_bound(q, parity).value
+    """No crossover at or below the limit (would contradict the claim)."""
 
 
 def crossover(parity: str, limit: int = 10_000_000) -> int:
-    """Smallest q* with theorem1 < pomerance for every tested q >= q*.
+    """Smallest q* with theorem1 < pomerance for every q >= q*.
 
-    Coarse doubling to bracket the first sign change, integer bisection,
-    then exhaustive confirmation on [q*, q* + 1000] and a 200-point log
-    grid up to limit (the difference is smooth but global monotonicity is
-    never assumed; a positive value restarts the search past it).
+    D = theorem1 - pomerance strictly decreases on [q0, inf) (see
+    decreasing_from), so one bisection on [ceil(q0), limit] finds q*, and
+    D(q*) < 0 covers every q >= q*. Raises if D changes sign below q0, or
+    if |D| at q* - 1 or q* is within tau = 64 eps (theorem1 + pomerance),
+    a generous bound on the float rounding, so that its sign is uncertain.
     """
-    start = 3
-    while True:
-        lo = start
-        if _difference(lo, parity) < 0.0:
-            qstar = lo
+    D = lambda q: theorem1_bound(q, parity).value - pomerance_bound(q, parity).value
+    lo, hi = math.ceil(decreasing_from(parity)), limit
+    if hi < lo or D(hi) >= 0.0:
+        raise CrossoverNotFound(f"no {parity} crossover in [{lo}, {limit}]")
+    if D(lo) < 0.0:
+        raise RuntimeError(f"{parity} difference negative at ceil(q0) = {lo}")
+    while hi - lo > 1:  # D(lo) >= 0 > D(hi)
+        mid = (lo + hi) // 2
+        if D(mid) < 0.0:
+            hi = mid
         else:
-            hi = lo
-            while _difference(hi, parity) >= 0.0:
-                hi *= 2
-                if hi > limit:
-                    raise CrossoverNotFound(
-                        f"no {parity} crossover below {limit}"
-                    )
-            lo = hi // 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _difference(mid, parity) < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            qstar = hi
-        bad = None
-        for k in range(qstar, min(qstar + 1001, limit + 1)):
-            if _difference(k, parity) >= 0.0:
-                bad = k
-                break
-        if bad is None:
-            grid = np.unique(
-                np.geomspace(qstar + 1000, limit, 200).astype(np.int64)
-            )
-            for k in grid:
-                if _difference(int(k), parity) >= 0.0:
-                    bad = int(k)
-                    break
-        if bad is None:
-            return qstar
-        start = bad + 1
-        if start > limit:
-            raise CrossoverNotFound(f"no {parity} crossover below {limit}")
+            lo = mid
+    for q in (hi - 1, hi):  # the loop left D(hi - 1) >= 0 > D(hi)
+        t, p = theorem1_bound(q, parity).value, pomerance_bound(q, parity).value
+        if abs(t - p) <= 64.0 * math.ulp(1.0) * (t + p):
+            raise RuntimeError(f"{parity} difference {t - p!r} at q = {q} is uncertain")
+    return hi

@@ -110,8 +110,8 @@ def _cmd_crossover(args) -> int:
         return 1
     print(f"{args.parity} crossover: q* = {qstar}")
     print(
-        "confirmed on every integer in "
-        f"[{qstar}, {qstar + 1000}] and a log grid up to 10^7"
+        "theorem1 < pomerance for every q >= q*: theorem1 - pomerance is "
+        f"strictly decreasing from q0 = {bounds.decreasing_from(args.parity):.2f}"
     )
     return 0
 
@@ -123,14 +123,12 @@ def _cmd_kernel_check(args) -> int:
         except ValueError as exc:
             return _input_error(exc)
     grid = kernel.default_grid(refine=2 if args.grid == "fine" else 1)
-    result = kernel.lemma3_check(grid)
+    result, values = kernel.lemma3_grid_check(grid)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["u", "P", "s_u_p", "g_p", "ratio"])
-        for P in grid.P_values:
-            s = kernel.s_u_p_grid(grid.u_points, P)
-            g = kernel.g_p_closed_grid(grid.u_points, P)
+        for P, s, g in values:
             for u, sv, gv in zip(grid.u_points, s, g):
                 w.writerow([repr(float(u)), repr(P), repr(float(sv)),
                             repr(float(gv)), repr(float(abs(sv) / gv))])

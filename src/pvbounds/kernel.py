@@ -32,6 +32,7 @@ __all__ = [
     "g_p_closed_grid",
     "default_grid",
     "lemma3_check",
+    "lemma3_grid_check",
     "lemma4_check",
     "constant_derivation",
     "lambda_identity_check",
@@ -265,13 +266,20 @@ def lemma3_check(grid: GridSpec | None = None) -> Lemma3Result:
     Any violating (u, P, ratio) triples are reported; the result is grid
     evidence, not a proof.
     """
+    return lemma3_grid_check(grid)[0]
+
+
+def lemma3_grid_check(grid: GridSpec | None = None):
+    """(lemma3_check's result, the (P, S(u;P), G_P(u)) per P that it read)."""
     grid = grid if grid is not None else default_grid()
     bound = bounds.c0() / (2.0 * math.pi**2)
     worst = (-1.0, 0.0, 0.0)
     violations = []
-    for P in grid.P_values:
-        s = s_u_p_grid(grid.u_points, P)
-        g = g_p_closed_grid(grid.u_points, P)
+    values = tuple(
+        (P, s_u_p_grid(grid.u_points, P), g_p_closed_grid(grid.u_points, P))
+        for P in grid.P_values
+    )
+    for P, s, g in values:
         ratio = np.abs(s) / g
         k = int(np.argmax(ratio))
         if ratio[k] > worst[0]:
@@ -285,7 +293,7 @@ def lemma3_check(grid: GridSpec | None = None) -> Lemma3Result:
         bound=bound,
         n_points=len(grid.u_points) * len(grid.P_values),
         violations=tuple(violations),
-    )
+    ), values
 
 
 def lemma4_check(q: int, P: float) -> float:

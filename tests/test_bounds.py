@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from pvbounds.bounds import (
+    DIFFERENCE_COEFFS,
     CrossoverNotFound,
     EULER_GAMMA,
     bound_names,
     c0,
     catalog_bounds,
     crossover,
+    decreasing_from,
     evaluate_bound,
     pomerance_bound,
     psi1,
@@ -26,34 +28,56 @@ from pvbounds.harness import sweep_modulus
 mp.mp.dps = 50
 
 
-def mp_theorem1(q: int, parity: str) -> float:
+MP_C0 = 4 * mp.pi ** mp.mpf("2.5") + 5
+
+
+def mp_psi(q: int, parity: str):
+    """psi1 (even) or psi2 (odd) at 50 digits."""
+    rq = mp.sqrt(mp.mpf(q))
+    if parity == "even":
+        return 1 + 24 / (mp.pi**2 * MP_C0) + 8 / mp.pi**2 * rq / mp.expm1(2 * rq / MP_C0)
+    return 1 + 3 / MP_C0 + 2 / mp.pi * rq / mp.expm1(mp.pi * rq / MP_C0)
+
+
+def mp_theorem1_mpf(q: int, parity: str):
     """Independent re-implementation at 50 digits (dual-route oracle)."""
     qm = mp.mpf(q)
     rq = mp.sqrt(qm)
-    c = 4 * mp.pi ** mp.mpf("2.5") + 5
     if parity == "even":
         main = 2 / mp.pi**2 * rq * mp.log(qm)
-        second = 4 / mp.pi**2 * rq * (1 + mp.euler + mp.log(c))
-        psi = 1 + 24 / (mp.pi**2 * c) + 8 / mp.pi**2 * rq / mp.expm1(2 * rq / c)
+        second = 4 / mp.pi**2 * rq * (1 + mp.euler + mp.log(MP_C0))
     else:
         main = rq * mp.log(qm) / (2 * mp.pi)
-        second = rq / mp.pi * (1 + mp.euler + mp.log(2 * c / mp.pi))
-        psi = 1 + 3 / c + 2 / mp.pi * rq / mp.expm1(mp.pi * rq / c)
-    return float(main + second + psi)
+        second = rq / mp.pi * (1 + mp.euler + mp.log(2 * MP_C0 / mp.pi))
+    return main + second + mp_psi(q, parity)
 
 
-def mp_pomerance(q: int, parity: str) -> float:
+def mp_theorem1(q: int, parity: str) -> float:
+    return float(mp_theorem1_mpf(q, parity))
+
+
+def mp_pomerance_mpf(q: int, parity: str):
     qm = mp.mpf(q)
     rq = mp.sqrt(qm)
     if parity == "even":
-        return float(
+        return (
             2 / mp.pi**2 * rq * mp.log(qm)
             + 4 / mp.pi**2 * rq * mp.log(mp.log(qm))
             + mp.mpf(3) / 2 * rq
         )
-    return float(
-        rq * mp.log(qm) / (2 * mp.pi) + rq * mp.log(mp.log(qm)) / mp.pi + rq
-    )
+    return rq * mp.log(qm) / (2 * mp.pi) + rq * mp.log(mp.log(qm)) / mp.pi + rq
+
+
+def mp_pomerance(q: int, parity: str) -> float:
+    return float(mp_pomerance_mpf(q, parity))
+
+
+def mp_difference_coeffs(parity: str):
+    """(a, b) of D = theorem1 - pomerance = sqrt(q) (a - b log log q) + psi(q)
+    from their closed forms, at 50 digits."""
+    if parity == "even":
+        return 4 / mp.pi**2 * (1 + mp.euler + mp.log(MP_C0)) - mp.mpf(3) / 2, 4 / mp.pi**2
+    return (1 + mp.euler + mp.log(2 * MP_C0 / mp.pi)) / mp.pi - 1, 1 / mp.pi
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +368,9 @@ def test_crossover_odd_below_28000():
 
 
 def test_crossover_not_found_raises():
-    with pytest.raises(CrossoverNotFound):
-        crossover("even", limit=1000)
+    for limit in (1000, 17010):  # below ceil(q0) = 7819; one short of q* = 17011
+        with pytest.raises(CrossoverNotFound):
+            crossover("even", limit=limit)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -354,6 +379,57 @@ def test_log_grid_negative_beyond_crossover(parity):
     grid = np.unique(np.geomspace(qstar, 10**7, 300).astype(int))
     for q in grid:
         assert theorem1_bound(int(q), parity).value < pomerance_bound(int(q), parity).value
+
+
+# ---------------------------------------------------------------------------
+# crossover by monotonicity: D = theorem1 - pomerance = sqrt(q) (a - b log log q)
+# + psi(q) strictly decreases from q0 = exp(exp(a/b)) on
+
+
+@pytest.mark.parametrize("parity,ceil_q0", [("even", 7819), ("odd", 21719)])
+def test_difference_coeffs_and_q0_against_mpmath(parity, ceil_q0):
+    a, b = DIFFERENCE_COEFFS[parity]
+    a_mp, b_mp = mp_difference_coeffs(parity)
+    assert abs(a - a_mp) < 1e-15 * abs(a_mp)
+    assert abs(b - b_mp) < 1e-16 * b_mp
+    q0_mp = mp.exp(mp.exp(a_mp / b_mp))
+    assert abs(decreasing_from(parity) - q0_mp) < 1e-12 * q0_mp
+    assert math.ceil(decreasing_from(parity)) == int(mp.ceil(q0_mp)) == ceil_q0
+    # the first term of D is flat at q0 and falls past it
+    assert abs(a_mp - b_mp * mp.log(mp.log(q0_mp))) < mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("parity,qstar", [("even", 17011), ("odd", 27087)])
+def test_difference_signs_at_crossover_mpmath(parity, qstar):
+    assert crossover(parity) == qstar
+    a, b = mp_difference_coeffs(parity)
+    for q, positive in ((qstar - 1, True), (qstar, False)):
+        d = mp_theorem1_mpf(q, parity) - mp_pomerance_mpf(q, parity)
+        closed = mp.sqrt(q) * (a - b * mp.log(mp.log(q))) + mp_psi(q, parity)
+        assert abs(d - closed) < mp.mpf(10) ** -40
+        assert (d > 0) == positive, (q, d)
+        assert abs(d) > mp.mpf(10) ** -5  # far above float rounding
+
+
+@pytest.mark.parametrize("q", [100, 7819, 17011, 27087, 10**6, 10**9])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_difference_closed_form_matches_catalog(q, parity):
+    a, b = DIFFERENCE_COEFFS[parity]
+    psi = psi1 if parity == "even" else psi2
+    closed = math.sqrt(q) * (a - b * math.log(math.log(q))) + psi(q)
+    t = theorem1_bound(q, parity).value
+    assert abs(closed - (t - pomerance_bound(q, parity).value)) <= 1e-12 * t
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_difference_decreasing_through_old_window(parity):
+    """D falls at every integer from ceil(q0) to q* + 1000, the window the
+    search-and-confirm crossover used to check."""
+    qstar = crossover(parity)
+    qs = range(math.ceil(decreasing_from(parity)), qstar + 1001)
+    d = [theorem1_bound(q, parity).value - pomerance_bound(q, parity).value for q in qs]
+    assert all(y < x for x, y in zip(d, d[1:]))
+    assert d[qstar - 1 - qs.start] >= 0.0 > d[qstar - qs.start]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pvbounds.kernel import (
     g_p_direct,
     lambda_identity_check,
     lemma3_check,
+    lemma3_grid_check,
     lemma4_check,
     omega,
     omega_star,
@@ -235,6 +236,16 @@ def test_lemma3_check_holds_bounded_chunks():
         tracemalloc.stop()
     assert res.violations == ()
     assert peak < 16 * 2**20
+
+
+def test_lemma3_grid_check_returns_the_values_it_checked():
+    grid = GridSpec(u_points=np.linspace(0.0, 1.0, 257), P_values=(1.5, 10.0, 1000.0))
+    result, values = lemma3_grid_check(grid)
+    assert result == lemma3_check(grid)
+    assert tuple(P for P, _, _ in values) == grid.P_values
+    for P, s, g in values:
+        assert np.array_equal(s, s_u_p_grid(grid.u_points, P))
+        assert np.array_equal(g, g_p_closed_grid(grid.u_points, P))
 
 
 def test_lemma3_stable_under_refinement():

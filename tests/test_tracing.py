@@ -51,8 +51,12 @@ def test_traced_spans_stay_on_the_call_paths():
         harness.twist_check_range(491, 492, workers=1)
         tracer.section = "label"
         characters.character_from_label(1999, (5,))
+        tracer.section = "crossover"
+        harness.verify_all(suites=("crossover",))
     finally:
         tracer.uninstall()
     assert tracer.count("characters.enumerate", "sweep") >= 1
     assert tracer.count("characters.enumerate", "twist") >= 1
     assert tracer.count("characters.from_label", "label") >= 1
+    assert tracer.count("bounds.crossover", "crossover") == 2
+    assert tracer.count("bounds.evaluate", "crossover") >= 1
