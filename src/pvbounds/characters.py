@@ -27,7 +27,6 @@ __all__ = [
     "character_from_label",
     "conductor",
     "gauss_sum",
-    "gauss_sums",
     "gauss_sum_table",
     "twist_discrepancies",
     "roots_of_unity",
@@ -56,13 +55,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def divisors(n: int) -> list[int]:
@@ -364,11 +356,8 @@ class DirichletCharacter:
         return self.family.value_tables([self.label])[0]
 
     def value(self, a: int) -> complex:
-        pos = np.flatnonzero(self.family.units == a % self.modulus)
-        if len(pos) == 0:
-            return 0j
-        t = self.family.exponents(self.label, pos[0])
-        return complex(roots_of_unity(self.root_order)[t])
+        """chi(a) for any integer a, read from values() at a mod q (0 off the units)."""
+        return complex(self.values()[a % self.modulus])
 
     def to_json_dict(self) -> dict:
         """JSON form; the value table is always recomputed from the label."""
@@ -444,23 +433,14 @@ def gauss_sum_table(q: int) -> np.ndarray:
     return np.fft.ifftn(phases.reshape(fam.group.orders or (1,))).ravel() * len(phases)
 
 
-def gauss_sums(chars) -> np.ndarray:
-    """tau(chi) for characters sharing one modulus q, from gauss_sum_table."""
-    if not chars:  # e.g. the primitive characters of q = 2 mod 4
-        return np.zeros(0, dtype=np.complex128)
-    q = chars[0].modulus
-    labels = np.array([chi.label for chi in chars], dtype=np.intp)  # (n, r)
-    # broadcast: with no components (q = 1, 2) ravel_multi_index gives one scalar
-    flat = np.broadcast_to(np.ravel_multi_index(labels.T, _family(q).group.orders), len(chars))
-    return gauss_sum_table(q)[flat]
-
-
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum_a chi(a) e(a/q), read from gauss_sum_table.
+    """tau(chi) = sum_a chi(a) e(a/q): the entry of gauss_sum_table at the
+    label's position in label order (0 when there are no components, q = 1, 2).
 
     Each call transforms the whole unit group: for many characters of one
-    modulus, take gauss_sum_table(q) once."""
-    return complex(gauss_sums([chi])[0])
+    modulus, take gauss_sum_table(q) once and index it by label position."""
+    pos = np.ravel_multi_index(chi.label, chi.family.group.orders)
+    return complex(gauss_sum_table(chi.modulus)[pos])
 
 
 def twist_discrepancies(chi: DirichletCharacter, ms, tau: complex) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _STEP_SLACK = 2.0 * _EPS  # a walk step is at most 1 + _STEP_SLACK * len: see _Blocks
-_WALK_CHUNK = 8192  # 80-bit terms per cumsum pass: 256 KiB, stays in L2
 
 
 @dataclass(frozen=True)
@@ -43,24 +42,18 @@ class PrefixWalk:
 def prefix_walk(chi: DirichletCharacter) -> PrefixWalk:
     """Running prefix sums of the value table, length q + 1.
 
-    Accumulation runs in 80-bit extended precision so the rounding error
-    stays orders of magnitude below the 1e-10 oracle comparisons even at
-    q ~ 1e5. It runs in cache-sized chunks, each continuing from the last
-    chunk's 80-bit total: the same sequential sum, so the bits of one cumsum.
+    Accumulation is one sequential cumsum in 80-bit extended precision, in
+    place, so the rounding error stays orders of magnitude below the 1e-10
+    oracle comparisons even at q ~ 1e5; the sums are rounded to float64 once.
     The mod-1 character yields the zero walk by convention.
     """
     q = chi.modulus
     if q == 1:
         return PrefixWalk(1, np.zeros(2, dtype=np.complex128), unit_steps=True)
-    vals = chi.values()
+    sums = chi.values().astype(np.clongdouble)
+    np.cumsum(sums, out=sums)
     points = np.empty(q + 1, dtype=np.complex128)
-    for start in range(0, q, _WALK_CHUNK):
-        part = vals[start : start + _WALK_CHUNK].astype(np.clongdouble)
-        if start:
-            part[0] += carry  # the 80-bit total of the chunks before
-        np.cumsum(part, out=part)
-        points[start : start + len(part)] = part
-        carry = part[-1]
+    points[:q] = sums
     points[q] = points[q - 1]
     return PrefixWalk(q, points, unit_steps=True)
 
@@ -178,8 +171,6 @@ def _directional_prune(pts: np.ndarray, blocks: _Blocks | None = None) -> np.nda
     xy = np.stack([sub.real, sub.imag])
     corners = np.unique(sub[np.argmax(_PRUNE_DIRS @ xy, axis=1)])
     xmax, ymax = np.abs(xy).max(axis=1)
-    if len(corners) < 3:
-        return pts
     # projection ties can scramble the direction order, so order explicitly
     order = np.argsort(
         np.arctan2(corners.imag - corners.imag.mean(), corners.real - corners.real.mean())
@@ -285,12 +276,10 @@ def max_interval_sum(walk: PrefixWalk) -> tuple[float, tuple[int, int]]:
     return s, (a + 1, b)
 
 
-def char_sum_result(
-    chi: DirichletCharacter, walk: PrefixWalk | None = None
-) -> tuple[float, tuple[int, int], float, int]:
+def char_sum_result(chi: DirichletCharacter) -> tuple[float, tuple[int, int], float, int]:
     """(S, (M, N), T, k) of chi: max_interval_sum and max_initial_sum of
     its prefix walk."""
-    walk = walk if walk is not None else prefix_walk(chi)
+    walk = prefix_walk(chi)
     return (*max_interval_sum(walk), *max_initial_sum(walk))
 
 

@@ -22,13 +22,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import bounds, kernel, lemmas
-from .characters import (
-    enumerate_characters,
-    gauss_sum_table,
-    gauss_sums,
-    primitive_mask,
-    unit_group,
-)
+from .characters import enumerate_characters, gauss_sum_table, primitive_mask
 from .charsums import char_sum_result
 
 __all__ = [
@@ -173,10 +167,11 @@ def sweep_modulus(q: int, parities, bound_names) -> list[SweepRow]:
     """
     rows = []
     denom = math.sqrt(q) * math.log(q)
-    orders = unit_group(q).orders
+    chars = enumerate_characters(q)
+    orders = chars[0].family.group.orders
     bound_cache: dict[str, list[bounds.BoundValue]] = {}  # by parity
     computed: dict[tuple[int, ...], tuple] = {}  # char_sum_result by label
-    for chi in enumerate_characters(q):
+    for chi in chars:
         if not chi.is_primitive or chi.parity not in parities:
             continue
         conj_label = tuple((-e) % o for e, o in zip(chi.label, orders))
@@ -214,7 +209,6 @@ def _sweep_worker(args) -> list[SweepRow]:
 
 @dataclass
 class SweepReport:
-    config: SweepConfig
     summary: dict
     rows: list[SweepRow] = field(default_factory=list)
 
@@ -342,7 +336,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 sink.close()
         raise
 
-    return SweepReport(config=cfg, summary=summary, rows=kept_rows)
+    return SweepReport(summary=summary, rows=kept_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +371,8 @@ def _twist_worker(args) -> tuple[int, float]:
     chars = enumerate_characters(q)
     idx = [i for i, chi in enumerate(chars) if chi.is_primitive]
     fam = chars[0].family
-    labels = fam.dlog[idx]  # labels enumerate like dlog
-    taus = gauss_sums([chars[i] for i in idx])
+    labels = fam.dlog[idx]  # labels enumerate like dlog rows and gauss_sum_table
+    taus = gauss_sum_table(q)[idx]
     ms = _twist_draws(seed, q, len(idx), m_per_char) % q
     worst = 0.0
     for start in range(0, len(idx), _TWIST_BLOCK):

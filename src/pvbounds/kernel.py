@@ -193,8 +193,6 @@ def g_p_direct(u: float, P: float, params: KernelParams | None = None) -> float:
 
 def g_p_closed(u: float, P: float) -> float:
     """Closed Poisson form of G_P: two geometric series summed exactly."""
-    if P <= 1.0:
-        raise ValueError(f"g_p_closed requires P > 1, got {P}")
     return float(g_p_closed_grid(np.array([u]), P)[0])
 
 

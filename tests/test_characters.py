@@ -14,10 +14,8 @@ from pvbounds.characters import (
     conductor,
     divisors,
     enumerate_characters,
-    euler_phi,
     gauss_sum,
     gauss_sum_table,
-    gauss_sums,
     primitive_mask,
     roots_of_unity,
     twist_discrepancies,
@@ -150,7 +148,7 @@ def test_enumerate_q1():
 @pytest.mark.parametrize("q", range(1, Q_TEST + 1))
 def test_count_and_distinct(q):
     chars = enumerate_characters(q)
-    assert len(chars) == euler_phi(q)
+    assert len(chars) == sympy.totient(q)
     tables = {tuple(c.unit_exponents.tolist()) for c in chars}
     assert len(tables) == len(chars)
     assert chars[0].unit_residues.tolist() == units_oracle(q)
@@ -229,7 +227,7 @@ def test_enumeration_beyond_one_label_block(q):
     chars = enumerate_characters(q)
     orders = unit_group(q).orders
     assert [chi.label for chi in chars] == list(product(*(range(o) for o in orders)))
-    assert len({chi.unit_exponents.tobytes() for chi in chars}) == euler_phi(q)
+    assert len({chi.unit_exponents.tobytes() for chi in chars}) == sympy.totient(q)
     assert chars[0].unit_residues.tolist() == units_oracle(q)
     for chi in chars:
         assert chi.conductor == conductor(chi)
@@ -278,9 +276,17 @@ def exponent_table_oracle(q, label) -> list[int]:
 @pytest.mark.parametrize("q", range(1, 301))
 def test_exponent_tables_match_python_int_oracle(q):
     chars = enumerate_characters(q)
-    assert chars[0].unit_residues.tolist() == units_oracle(q)
+    units = units_oracle(q)
+    assert chars[0].unit_residues.tolist() == units
     for chi in chars:
-        assert chi.unit_exponents.tolist() == exponent_table_oracle(q, chi.label)
+        exps = exponent_table_oracle(q, chi.label)
+        assert chi.unit_exponents.tolist() == exps
+    # chi(a) = e(t/N) at every a in [-q, 2q), negative a and non-units
+    # included, for the last label: every component at its largest exponent
+    want = np.zeros(q, dtype=np.complex128)
+    want[units] = np.exp(2j * np.pi * np.array(exps) / chi.root_order)
+    got = [chi.value(a) for a in range(-q, 2 * q)]
+    assert np.abs(np.array(got) - np.tile(want, 3)).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -358,17 +364,17 @@ def test_gauss_modulus_primitive(q):
 
 @pytest.mark.parametrize("q", range(1, Q_TEST + 1))
 def test_gauss_sums_batch_matches_gauss_sum(q):
-    chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
-    taus = gauss_sums(chars)
-    assert len(taus) == len(chars)
     e_q = np.exp(2j * np.pi * np.arange(q) / q)
-    for chi, tau in zip(chars, taus):
-        assert abs(tau - gauss_sum(chi)) < 1e-12 * math.sqrt(q)
-        # definitional tau(chi) = sum_a chi(a) e(a/q), computed here
-        assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
     # every label, imprimitive ones and the one-cell grids of q = 1, 2 included
-    want = np.array([chi.values() @ e_q for chi in enumerate_characters(q)])
-    assert np.abs(gauss_sum_table(q) - want).max() < 1e-12 * math.sqrt(q)
+    chars = enumerate_characters(q)
+    table = gauss_sum_table(q)
+    # definitional tau(chi) = sum_a chi(a) e(a/q), computed here
+    want = np.array([chi.values() @ e_q for chi in chars])
+    assert np.abs(table - want).max() < 1e-12 * math.sqrt(q)
+    for chi, tau, entry in zip(chars, want, table):
+        got = gauss_sum(chi)
+        assert got == entry  # the label's row, to the bit
+        assert abs(got - tau) < 1e-12 * math.sqrt(q)
 
 
 @pytest.mark.parametrize("q", [10007, 101**2, 2**3 * 3**2 * 5 * 7 * 11])
@@ -380,8 +386,8 @@ def test_gauss_sums_large_q_match_direct_sum(q):
         for _ in range(6)
     ]
     e_q = np.exp(2j * np.pi * np.arange(q) / q)
-    for chi, tau in zip(chars, gauss_sums(chars)):
-        assert abs(tau - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
+    for chi in chars:
+        assert abs(gauss_sum(chi) - chi.values() @ e_q) < 1e-12 * math.sqrt(q)
 
 
 def twist_check(chi, m: int) -> float:

@@ -14,7 +14,8 @@ from pvbounds import bounds, harness, kernel
 from pvbounds.characters import (
     conductor,
     enumerate_characters,
-    gauss_sums,
+    gauss_sum,
+    primitive_mask,
     roots_of_unity,
 )
 from pvbounds.charsums import char_sum_result
@@ -302,7 +303,7 @@ def test_twisted_sums_by_inverse_fft_at_every_m(q, monkeypatch):
     of twist_discrepancies; the twist worker checks every m when its draws
     are all residues mod q."""
     chars = [chi for chi in enumerate_characters(q) if chi.is_primitive]
-    taus = gauss_sums(chars)
+    taus = [gauss_sum(chi) for chi in chars]
     m = np.arange(q)
     roots = roots_of_unity(q)
     for chi, tau in zip(chars, taus):
@@ -328,14 +329,15 @@ def test_twisted_sums_by_inverse_fft_at_every_m(q, monkeypatch):
 def test_twist_worker_sees_every_character(pos, monkeypatch):
     """A wrong tau for any one primitive character mod 499 (two blocks of
     value tables: 256 and 241 characters) shows in the worst discrepancy."""
-    real = harness.gauss_sums
+    real = harness.gauss_sum_table
+    row = np.flatnonzero(primitive_mask(499))[pos]
 
-    def one_wrong(chars):
-        taus = real(chars).copy()
-        taus[pos] += math.sqrt(499)
+    def one_wrong(q):
+        taus = real(q).copy()
+        taus[row] += math.sqrt(499)
         return taus
 
-    monkeypatch.setattr(harness, "gauss_sums", one_wrong)
+    monkeypatch.setattr(harness, "gauss_sum_table", one_wrong)
     count, worst = harness._twist_worker((499, 50, 11))
     assert count == 50 * 497
     assert worst > 0.5
